@@ -216,9 +216,11 @@ fn recover_smoke(cfg: &ExpConfig) {
     use mmdb_common::ids::{IndexId, TableId};
     use mmdb_common::isolation::IsolationLevel;
     use mmdb_common::row::{rowbuf, IndexSpec, KeySpec, TableSpec};
+    use mmdb_storage::checkpoint::RecoveryPlan;
     use mmdb_storage::log::{
         read_log_bytes, FileLogger, LogOp, NullLogger, RecoveryReport, RedoLogger,
     };
+    use mmdb_storage::scratch::TempDir;
 
     const PRIMARY: IndexId = IndexId(0);
     const FILLER: usize = 16;
@@ -237,13 +239,10 @@ fn recover_smoke(cfg: &ExpConfig) {
         label: &str,
         rows: u64,
         make: &dyn Fn(Arc<dyn RedoLogger>) -> E,
-        recover: &dyn Fn(&E, &[u8]) -> Result<RecoveryReport>,
+        recover: &dyn Fn(&E, &RecoveryPlan) -> Result<RecoveryReport>,
     ) {
-        let path = std::env::temp_dir().join(format!(
-            "mmdb-repro-recover-{}-{}.log",
-            std::process::id(),
-            label.replace('/', "_")
-        ));
+        let dir = TempDir::new("repro-recover");
+        let path = dir.join("wal.log");
         let logger = Arc::new(FileLogger::create(&path).expect("create log file"));
         let engine = make(logger.clone());
         let table = engine.create_table(spec(rows)).expect("create table");
@@ -283,7 +282,7 @@ fn recover_smoke(cfg: &ExpConfig) {
         }
         logger.flush().expect("flush log");
         let bytes = std::fs::read(&path).expect("read log");
-        let _ = std::fs::remove_file(&path);
+        let crashed = dir.join("crashed.log");
 
         // Crash offsets: clean end, mid-log, one byte short (mid-record).
         for offset in [bytes.len(), bytes.len() / 2, bytes.len().saturating_sub(1)] {
@@ -308,7 +307,9 @@ fn recover_smoke(cfg: &ExpConfig) {
 
             let fresh: E = make(Arc::new(NullLogger::new()));
             let fresh_table: TableId = fresh.create_table(spec(rows)).expect("create table");
-            let report = recover(&fresh, prefix).expect("recovery succeeds");
+            std::fs::write(&crashed, prefix).expect("write crashed log");
+            let report =
+                recover(&fresh, &RecoveryPlan::for_log(&crashed)).expect("recovery succeeds");
 
             let mut txn = fresh.begin(IsolationLevel::ReadCommitted);
             let mut recovered: BTreeMap<u64, u8> = BTreeMap::new();
@@ -340,13 +341,13 @@ fn recover_smoke(cfg: &ExpConfig) {
         "MV/O",
         rows,
         &|logger| mmdb_core::MvEngine::with_logger(mmdb_core::MvConfig::optimistic(), logger),
-        &|engine, bytes| engine.recover_bytes(bytes),
+        &|engine, plan| engine.recover_from_checkpoint(plan),
     );
     smoke(
         "1V",
         rows,
         &|logger| mmdb_onev::SvEngine::with_logger(mmdb_onev::SvConfig::default(), logger),
-        &|engine, bytes| engine.recover_bytes(bytes),
+        &|engine, plan| engine.recover_from_checkpoint(plan),
     );
     println!();
 }

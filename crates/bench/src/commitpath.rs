@@ -16,7 +16,7 @@
 //!   tickless (leader-elected inline flush) or with a background tick,
 //!   where concurrent Sync committers share one `write`+sync per batch.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -27,16 +27,12 @@ use mmdb_common::ids::IndexId;
 use mmdb_common::row::rowbuf::{grouped_row, grouped_spec};
 use mmdb_core::{MvConfig, MvEngine};
 use mmdb_storage::log::RedoLogger;
+use mmdb_storage::scratch::TempDir;
 
 /// Transactions each worker commits before the measured window opens:
 /// enough to warm the engine pools, the log file and (for the group-commit
 /// loggers) the shared batch buffer.
 pub const WARMUP_TXNS: u64 = 64;
-
-/// A fresh scratch log path for one measurement.
-pub fn scratch_log(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("mmdb-perf-commit-{}-{tag}.log", std::process::id()))
-}
 
 /// A logger factory the experiment sweeps: builds the redo logger under
 /// test at the given scratch path.
@@ -54,8 +50,8 @@ pub fn commit_throughput(
     durability: Durability,
     make_logger: MakeLogger<'_>,
 ) -> f64 {
-    let path = scratch_log(tag);
-    let logger = make_logger(&path);
+    let dir = TempDir::new(&format!("perf-commit-{tag}"));
+    let logger = make_logger(&dir.join("wal.log"));
     let engine = MvEngine::with_logger(
         MvConfig::optimistic().with_deadlock_detector(false),
         logger.clone(),
@@ -112,11 +108,8 @@ pub fn commit_throughput(
         start
     })
     .elapsed();
-    // Leave the log clean (drop order: engine still holds the logger, but
-    // removal only unlinks the path — the final drop-flush writes into the
-    // unlinked file harmlessly).
+    // The engine and logger drop before `dir` removes the log file.
     let _ = logger.flush();
-    let _ = std::fs::remove_file(&path);
     committed.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64()
 }
 

@@ -1111,12 +1111,7 @@ pub fn recovery_perf(cfg: &ExpConfig) -> SeriesTable {
             .wrapping_add(1442695040888963407)
     };
     let spec = || TableSpec::keyed_u64("recovery", rows as usize);
-    let dir_for = |tag: &str| {
-        let dir =
-            std::env::temp_dir().join(format!("mmdb-bench-recovery-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
+    let dir_for = |tag: &str| mmdb_storage::scratch::TempDir::new(&format!("bench-recovery-{tag}"));
 
     // The same seeded history into a checkpoint store; `policy` None = never
     // checkpoint (the full-replay baseline), and `hot` confines updates to
@@ -1221,8 +1216,6 @@ pub fn recovery_perf(cfg: &ExpConfig) -> SeriesTable {
         full_state, ckpt_state,
         "full replay and checkpoint + tail must recover the same state"
     );
-    let _ = std::fs::remove_dir_all(&full_dir);
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
 
     // Delta A/B: the same hot-set history (≤ 5 % of the rows ever touched
     // after load) once under full images and once under a delta chain. The
@@ -1257,8 +1250,6 @@ pub fn recovery_perf(cfg: &ExpConfig) -> SeriesTable {
         "delta checkpoints must write ≥ 5x fewer bytes than full images on a hot-set \
          workload (delta {delta_written} B vs full {hot_full_written} B)"
     );
-    let _ = std::fs::remove_dir_all(&hot_full_dir);
-    let _ = std::fs::remove_dir_all(&delta_dir);
 
     let mib = |b: u64| b as f64 / (1024.0 * 1024.0);
     let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { f64::NAN };

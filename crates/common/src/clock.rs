@@ -68,13 +68,27 @@ impl GlobalClock {
         Timestamp(self.ts.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// Current value of the timestamp counter without advancing it.
-    ///
-    /// Read-committed transactions use this as their logical read time so
-    /// they always observe the latest committed version (§3.4).
+    /// Current value of the timestamp counter without advancing it: the
+    /// timestamp the next draw will hand out. Readers of the latest
+    /// committed version use [`last_issued`](Self::last_issued) instead.
     #[inline]
     pub fn now(&self) -> Timestamp {
         Timestamp(self.ts.load(Ordering::SeqCst))
+    }
+
+    /// The most recently issued timestamp (the counter minus one;
+    /// [`Timestamp::ZERO`] before the first draw).
+    ///
+    /// Read-committed transactions read at this time. Reading at
+    /// [`now`](Self::now) instead races with a committer: a writer that
+    /// draws exactly `now()` as its end timestamp after the reader has seen
+    /// it without one hides both its new version (not yet committed) and
+    /// the version it replaces (`rt < end` fails), so a present key reads
+    /// as absent. Every timestamp drawn after this call is strictly later
+    /// than the value it returns, so that tie cannot happen here.
+    #[inline]
+    pub fn last_issued(&self) -> Timestamp {
+        Timestamp(self.ts.load(Ordering::SeqCst) - 1)
     }
 
     /// Advance the timestamp counter so every future draw is strictly later
@@ -124,6 +138,17 @@ mod tests {
         let drawn = clock.next_timestamp();
         assert!(drawn >= t0);
         assert!(clock.now() > drawn);
+    }
+
+    #[test]
+    fn last_issued_trails_every_future_draw() {
+        let clock = GlobalClock::new();
+        assert_eq!(clock.last_issued(), Timestamp::ZERO);
+        let drawn = clock.next_timestamp();
+        assert_eq!(clock.last_issued(), drawn);
+        let later = clock.next_timestamp();
+        assert!(later > drawn);
+        assert_eq!(clock.last_issued(), later);
     }
 
     #[test]

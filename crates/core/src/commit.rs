@@ -292,7 +292,7 @@ impl MvTransaction {
         // reports the log's sticky I/O error, the transaction rolls back in
         // memory — its in-memory effects never become visible, matching the
         // durable log, which is only trusted up to the first error anyway.
-        if !self.write_set.is_empty() && !self.inner.store.log_suppressed() {
+        if !self.write_set.is_empty() {
             let ticket = self.append_log_frame(end_ts);
             if self.durability == Durability::Sync {
                 if let Err(err) = self.inner.store.logger().wait_durable(ticket) {

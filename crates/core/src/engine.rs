@@ -354,49 +354,6 @@ impl MvEngine {
         Ok(self.inner.store.table(table)?.version_count())
     }
 
-    /// Replay redo-log records into this (freshly created) engine.
-    ///
-    /// The paper's engines log each committed transaction's new versions and
-    /// deleted keys together with its end timestamp, and note that "commit
-    /// ordering is determined by transaction end timestamps" (§3.2). Recovery
-    /// therefore sorts the records by end timestamp and re-applies them in
-    /// that order: a `Write` op upserts the row by primary key, a `Delete` op
-    /// removes it. Tables must have been re-created (same IDs) before
-    /// replaying.
-    ///
-    /// Returns the number of log records applied.
-    pub fn replay_log<I>(&self, records: I) -> Result<usize>
-    where
-        I: IntoIterator<Item = mmdb_storage::log::LogRecord>,
-    {
-        use mmdb_common::engine::{Engine as _, EngineTxn as _};
-        use mmdb_common::ids::IndexId;
-        use mmdb_storage::log::LogOp;
-
-        let mut records: Vec<_> = records.into_iter().collect();
-        records.sort_by_key(|r| r.end_ts);
-        let mut applied = 0;
-        for record in records {
-            let mut txn = self.begin(IsolationLevel::ReadCommitted);
-            for op in record.ops {
-                match op {
-                    LogOp::Write { table, row } => {
-                        let key = self.inner.store.table(table)?.key_of(IndexId(0), &row)?;
-                        if !txn.update(table, IndexId(0), key, row.clone())? {
-                            txn.insert(table, row)?;
-                        }
-                    }
-                    LogOp::Delete { table, key } => {
-                        txn.delete(table, IndexId(0), key)?;
-                    }
-                }
-            }
-            txn.commit()?;
-            applied += 1;
-        }
-        Ok(applied)
-    }
-
     /// Take a checkpoint into `store` and truncate the redo log below it.
     ///
     /// The engine must have been created with `store`'s group-commit log as
@@ -617,20 +574,11 @@ impl MvEngine {
 
         // Second tombstone source: `Delete` ops in the log prefix below the
         // captured LSN whose commits postdate `P` (their dead versions may
-        // have been reclaimed before the GC pin registered). Flush first so
-        // the prefix is readable from the file.
-        store.logger().flush()?;
-        let limit = ckpt_lsn.0.saturating_sub(store.logger().base_lsn().0);
-        if limit > 0 {
-            let prefix = mmdb_storage::log::read_log_prefix(store.log_path(), limit)?;
-            for record in prefix.records {
-                if record.end_ts <= parent_ts {
-                    continue;
-                }
-                for op in record.ops {
-                    if let mmdb_storage::log::LogOp::Delete { table, key } = op {
-                        tombstones.push((table, key));
-                    }
+        // have been reclaimed before the GC pin registered).
+        for record in store.logged_since(ckpt_lsn, parent_ts)? {
+            for op in record.ops {
+                if let mmdb_storage::log::LogOp::Delete { table, key } = op {
+                    tombstones.push((table, key));
                 }
             }
         }
@@ -642,7 +590,7 @@ impl MvEngine {
             }
         }
 
-        let installed = store.install_delta(writer.finish()?)?;
+        let installed = store.install_checkpoint(writer.finish()?)?;
         store.truncate_log()?;
         Ok(installed)
     }
@@ -700,15 +648,18 @@ impl MvEngine {
     /// [`RecoveryPlan`](mmdb_storage::checkpoint::RecoveryPlan): bulk-load
     /// the checkpoint chain (base image plus deltas, if any), then replay
     /// the log tail above the last chain element's LSN, skipping records
-    /// already inside the chain (`end_ts <= read_ts`).
+    /// already inside the chain (`end_ts <= read_ts`). A bare redo log is a
+    /// plan with an empty chain
+    /// ([`RecoveryPlan::for_log`](mmdb_storage::checkpoint::RecoveryPlan::for_log)).
     ///
-    /// The load is partitioned: tables are sharded across a worker pool
-    /// (`MMDB_RECOVERY_WORKERS`, defaulting to the machine's parallelism
+    /// This is the engine's only restart path. The load is partitioned:
+    /// tables are sharded across a worker pool (the machine's parallelism
     /// capped at 8) and every op — chain rows, chain tombstones, tail
-    /// writes and deletes — is collapsed into one `populate` per table.
-    /// The result is identical for any worker count. `populate` bypasses
-    /// the redo logger, so replaying a log the engine is attached to never
-    /// re-appends the tail.
+    /// writes and deletes — is collapsed into one `populate` per table. The
+    /// result is identical for any worker count. `populate` bypasses the
+    /// redo logger, so replaying a log the engine is attached to never
+    /// re-appends the tail, and it does not re-check uniqueness: the log
+    /// and images only ever hold committed, already-checked states.
     ///
     /// The report's `valid_bytes` is the *physical* clean prefix of the
     /// live log segment — exactly what
@@ -717,23 +668,13 @@ impl MvEngine {
         &self,
         plan: &mmdb_storage::checkpoint::RecoveryPlan,
     ) -> Result<mmdb_storage::log::RecoveryReport> {
-        self.recover_from_checkpoint_with(plan, mmdb_storage::recovery::default_workers())
-    }
-
-    /// [`MvEngine::recover_from_checkpoint`] with an explicit worker count
-    /// (tests pin determinism by comparing worker counts; 1 degenerates to
-    /// the serial load).
-    pub fn recover_from_checkpoint_with(
-        &self,
-        plan: &mmdb_storage::checkpoint::RecoveryPlan,
-        workers: usize,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
         use mmdb_common::ids::IndexId;
+        use mmdb_storage::recovery::{default_workers, recover_partitioned};
 
         let mvstore = &self.inner.store;
         let key_of = |table: TableId, row: &Row| mvstore.table(table)?.key_of(IndexId(0), row);
         let apply = |table: TableId, rows: Vec<Row>| self.populate(table, rows).map(|_| ());
-        let image = mmdb_storage::recovery::recover_partitioned(plan, workers, &key_of, &apply)?;
+        let image = recover_partitioned(plan, default_workers(), &key_of, &apply)?;
         // The recovered timestamps came from the previous process's clock;
         // everything this engine draws from now on (snapshots, commit
         // timestamps, delta-checkpoint windows) must postdate them.
@@ -743,31 +684,6 @@ impl MvEngine {
             valid_bytes: image.valid_bytes,
             torn_bytes: image.torn_bytes,
         })
-    }
-
-    /// Recover from the framed bytes of a redo log: decode every complete
-    /// record — tolerating a torn tail left by a crash mid-append — and
-    /// replay them through [`MvEngine::replay_log`]. Tables must have been
-    /// re-created (same IDs) on this fresh engine first.
-    pub fn recover_bytes(&self, bytes: &[u8]) -> Result<mmdb_storage::log::RecoveryReport> {
-        let outcome = mmdb_storage::log::read_log_bytes(bytes)?;
-        let records_applied = self.replay_log(outcome.records)?;
-        Ok(mmdb_storage::log::RecoveryReport {
-            records_applied,
-            valid_bytes: outcome.valid_bytes,
-            torn_bytes: outcome.torn_bytes,
-        })
-    }
-
-    /// Recover from the redo-log file at `path` (see
-    /// [`MvEngine::recover_bytes`]).
-    pub fn recover_file(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
-        let bytes =
-            std::fs::read(path).map_err(|e| mmdb_common::error::MmdbError::LogIo(e.to_string()))?;
-        self.recover_bytes(&bytes)
     }
 }
 

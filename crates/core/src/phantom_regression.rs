@@ -32,6 +32,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use mmdb_common::engine::{Engine, EngineTxn};
+use mmdb_common::error::MmdbError;
 use mmdb_common::ids::IndexId;
 use mmdb_common::isolation::{ConcurrencyMode, IsolationLevel};
 use mmdb_common::row::{rowbuf, IndexSpec, TableSpec};
@@ -88,12 +89,15 @@ fn pinned_insert_scan_interleaving(shape: ScanShape) {
         let mut txn =
             engine2.begin_with(ConcurrencyMode::Pessimistic, IsolationLevel::ReadCommitted);
         let me = txn.id();
-        race_hooks::set_link_honor_gap(Box::new(move || {
-            let _ = entered_tx.send(me);
-            let _ = resume_rx.recv();
-        }));
+        race_hooks::set(
+            race_hooks::Gap::LinkHonor,
+            Box::new(move || {
+                let _ = entered_tx.send(me);
+                let _ = resume_rx.recv();
+            }),
+        );
         txn.insert(table, rowbuf::keyed_row(25, 16, 99)).unwrap();
-        race_hooks::clear_link_honor_gap();
+        race_hooks::clear(race_hooks::Gap::LinkHonor);
         let _ = linked_tx.send(());
         let end_ts = txn.commit().unwrap();
         committed_at2.store(end_ts.0, Ordering::SeqCst);
@@ -185,4 +189,74 @@ fn mvl_serializable_insert_cannot_slip_past_bucket_scanner_in_link_honor_window(
 #[test]
 fn mvl_serializable_insert_cannot_slip_past_range_scanner_in_link_honor_window() {
     pinned_insert_scan_interleaving(ScanShape::OrderedRange);
+}
+
+/// The second window: a writer that linked its row and checked the scan
+/// locks *before* the scanner published its lock, then committed entirely
+/// between the scanner drawing its read time and walking the candidates.
+/// The scanner meets a version whose begin is a committed timestamp later
+/// than its read time: too late to delay the writer, so the writer
+/// serializes first with a row the scan does not return. Pinned here on
+/// one thread: the read-time hook commits the writer in exactly that gap,
+/// and the scan must abort with `PhantomDetected` instead of committing a
+/// result that omits the row.
+fn writer_committing_between_read_time_and_walk(shape: ScanShape) {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    let engine = MvEngine::new(MvConfig::pessimistic());
+    let spec = match shape {
+        ScanShape::HashBucket => TableSpec::keyed_u64("t", 64),
+        ScanShape::OrderedRange => {
+            TableSpec::keyed_u64("t", 64).with_index(IndexSpec::ordered_u64("by_key", 0))
+        }
+    };
+    let table = engine.create_table(spec).unwrap();
+    engine
+        .populate(
+            table,
+            [10u64, 20, 30].map(|k| rowbuf::keyed_row(k, 16, k as u8)),
+        )
+        .unwrap();
+
+    let mut writer = engine.begin_with(ConcurrencyMode::Pessimistic, IsolationLevel::ReadCommitted);
+    writer.insert(table, rowbuf::keyed_row(25, 16, 99)).unwrap();
+    let mut scanner = engine.begin_with(ConcurrencyMode::Pessimistic, IsolationLevel::Serializable);
+
+    let writer_end = Rc::new(Cell::new(None));
+    let mut writer = Some(writer);
+    let end = Rc::clone(&writer_end);
+    race_hooks::set(
+        race_hooks::Gap::ReadTimeWalk,
+        Box::new(move || {
+            if let Some(writer) = writer.take() {
+                end.set(Some(writer.commit().unwrap()));
+            }
+        }),
+    );
+    let result = match shape {
+        ScanShape::HashBucket => scanner.read(table, IndexId(0), 25).map(|_| ()),
+        ScanShape::OrderedRange => scanner.scan_range(table, IndexId(1), 15, 35).map(|_| ()),
+    };
+    race_hooks::clear(race_hooks::Gap::ReadTimeWalk);
+
+    assert!(
+        writer_end.get().is_some(),
+        "the writer must have committed inside the gap"
+    );
+    assert!(
+        matches!(result, Err(MmdbError::PhantomDetected)),
+        "a scan that missed a row committed after its read time must abort, got {result:?}"
+    );
+    scanner.abort();
+}
+
+#[test]
+fn mvl_serializable_bucket_scan_aborts_on_a_row_committed_after_its_read_time() {
+    writer_committing_between_read_time_and_walk(ScanShape::HashBucket);
+}
+
+#[test]
+fn mvl_serializable_range_scan_aborts_on_a_row_committed_after_its_read_time() {
+    writer_committing_between_read_time_and_walk(ScanShape::OrderedRange);
 }

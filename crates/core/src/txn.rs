@@ -266,12 +266,13 @@ impl MvTransaction {
         }
     }
 
-    /// The logical read time (§2.5, §3.4, §4.3.1): read-committed reads "now"
-    /// so it always sees the latest committed version; snapshot isolation
-    /// reads as of the begin time; the serializable / repeatable-read rules
-    /// differ between the two schemes (the optimistic scheme reads as of the
-    /// begin time and validates, the pessimistic scheme reads the latest
-    /// version and locks it).
+    /// The logical read time (§2.5, §3.4, §4.3.1): read-committed reads at
+    /// the last issued timestamp so it always sees the latest committed
+    /// version (`GlobalClock::last_issued` says why not `now()`); snapshot
+    /// isolation reads as of the begin time; the serializable /
+    /// repeatable-read rules differ between the two schemes (the optimistic
+    /// scheme reads as of the begin time and validates, the pessimistic
+    /// scheme reads the latest version and locks it).
     pub(crate) fn read_time(&self) -> Timestamp {
         let iso = self.handle.isolation();
         match self.handle.mode() {
@@ -279,14 +280,14 @@ impl MvTransaction {
                 if iso.optimistic_reads_at_begin() {
                     self.handle.begin_ts()
                 } else {
-                    self.inner.store.clock().now()
+                    self.inner.store.clock().last_issued()
                 }
             }
             ConcurrencyMode::Pessimistic => {
                 if iso == IsolationLevel::SnapshotIsolation {
                     self.handle.begin_ts()
                 } else {
-                    self.inner.store.clock().now()
+                    self.inner.store.clock().last_issued()
                 }
             }
         }
@@ -719,6 +720,36 @@ impl MvTransaction {
         Ok(())
     }
 
+    /// §4.3.1 phantom rule for a serializable pessimistic lookup that found
+    /// `version` invisible at `rt`. A version owned by a still-active
+    /// transaction is a potential phantom — whether it is being
+    /// *deleted/updated* (transaction ID in the End field) or being
+    /// *created* (transaction ID in the Begin field): delay that
+    /// transaction's precommit until we are done, so it serializes after us
+    /// and our result stays exact at our end timestamp. A creator that
+    /// already committed after `rt` cannot be delayed any more: it drew its
+    /// end timestamp after our read time and finished before we reached its
+    /// version (or while we tried to delay it), so it serializes before us
+    /// with a row we did not see — a phantom, and only an abort keeps the
+    /// result exact.
+    fn order_invisible_version(&mut self, version: &Version, rt: Timestamp) -> Result<()> {
+        let end_writer = version.end_word().writer();
+        let begin_creator = version.begin_word().as_txn();
+        for owner in [end_writer, begin_creator].into_iter().flatten() {
+            if owner != self.me() && !self.impose_wait_for_on(owner) {
+                return Err(self.fail(MmdbError::WaitForRefused));
+            }
+        }
+        if let BeginWord::Timestamp(begin) = version.begin_word() {
+            // An aborted creator leaves an infinite begin: garbage, not a row.
+            if begin > rt && !begin.is_infinity() {
+                EngineStats::bump(&self.stats().phantom_failures);
+                return Err(self.fail(MmdbError::PhantomDetected));
+            }
+        }
+        Ok(())
+    }
+
     /// §4.3 store→load fence, scan side. A serializable pessimistic scan
     /// publishes its bucket/range lock and then reads the index chains; a
     /// writer links its new version and then reads the lock tables. Each
@@ -766,9 +797,16 @@ impl MvTransaction {
         // Lock-free table resolution: a load of the epoch-published catalog
         // slice, borrowed under our guard (no `RwLock`, no `Arc` clone).
         let table = self.inner.store.table_in(table_id, &guard)?;
-        let rt = self.read_time();
         self.register_scan(table, index, SearchPred::Eq(key))?;
         self.scan_lock_fence();
+        // The read time is drawn after the scan lock is published: a writer
+        // that missed the lock then either drew its end timestamp before
+        // `rt` (and is visible) or is still open to a wait-for, except one
+        // that finishes its whole commit before the walk reaches its
+        // version — `order_invisible_version` aborts on that.
+        let rt = self.read_time();
+        #[cfg(test)]
+        race_hooks::fire(race_hooks::Gap::ReadTimeWalk);
 
         // Stage candidates in the transaction-owned buffer so no iterator
         // borrow of the table is held while taking dependencies (which needs
@@ -809,20 +847,7 @@ impl MvTransaction {
                 && iso.requires_phantom_protection()
                 && vis.dependency.is_none()
             {
-                // §4.3.1: an invisible version owned by a still-active
-                // transaction is a potential phantom — whether it is being
-                // *deleted/updated* (transaction ID in the End field) or being
-                // *created* (transaction ID in the Begin field). Delay that
-                // transaction's precommit until we are done, so it serializes
-                // after us and our scan result stays exact at our end
-                // timestamp.
-                let end_writer = version.end_word().writer();
-                let begin_creator = version.begin_word().as_txn();
-                for owner in [end_writer, begin_creator].into_iter().flatten() {
-                    if owner != self.me() && !self.impose_wait_for_on(owner) {
-                        return Err(self.fail(MmdbError::WaitForRefused));
-                    }
-                }
+                self.order_invisible_version(version, rt)?;
             }
 
             let visible = self.resolve_visibility(version, vis, rt)?;
@@ -878,9 +903,12 @@ impl MvTransaction {
         if !table.is_ordered(index)? {
             return Err(MmdbError::IndexNotOrdered(table_id, index));
         }
-        let rt = self.read_time();
         self.register_scan(table, index, SearchPred::Range { lo, hi })?;
         self.scan_lock_fence();
+        // Drawn after the lock is published, as in `scan_visible_with`.
+        let rt = self.read_time();
+        #[cfg(test)]
+        race_hooks::fire(race_hooks::Gap::ReadTimeWalk);
 
         let mut candidates = std::mem::take(&mut self.scratch.candidates);
         candidates.clear();
@@ -934,7 +962,7 @@ impl MvTransaction {
         // of same-bucket serializable updaters delay each other's precommit
         // for no reason (each waits on the other's bucket lock), turning
         // routine disjoint-key updates into deadlock-victim aborts.
-        let rt = self.read_time();
+        let mut rt = self.read_time();
         let iso = self.handle.isolation();
         let mode = self.handle.mode();
         let mut registered = false;
@@ -954,17 +982,10 @@ impl MvTransaction {
                     && vis.dependency.is_none()
                 {
                     // Same potential-phantom rule as in `visit_candidates`:
-                    // an invisible version owned by a live transaction
-                    // (pending insert of this key, or a pending delete whose
-                    // abort would resurrect it) must serialize after our "not
+                    // a pending insert of this key, or a pending delete whose
+                    // abort would resurrect it, must serialize after our "not
                     // found" observation.
-                    let end_writer = version.end_word().writer();
-                    let begin_creator = version.begin_word().as_txn();
-                    for owner in [end_writer, begin_creator].into_iter().flatten() {
-                        if owner != self.me() && !self.impose_wait_for_on(owner) {
-                            return Err(self.fail(MmdbError::WaitForRefused));
-                        }
-                    }
+                    self.order_invisible_version(version, rt)?;
                 }
                 if self.resolve_visibility(version, vis, rt)? {
                     return Ok(Some(ptr));
@@ -975,6 +996,9 @@ impl MvTransaction {
             }
             self.register_scan(table, index, SearchPred::Eq(key))?;
             self.scan_lock_fence();
+            // Read again at a time drawn under the lock (see
+            // `scan_visible_with`).
+            rt = self.read_time();
             registered = true;
         }
     }
@@ -1010,7 +1034,7 @@ impl MvTransaction {
         // can both miss each other (store-buffer litmus).
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         #[cfg(test)]
-        race_hooks::fire_link_honor_gap();
+        race_hooks::fire(race_hooks::Gap::LinkHonor);
         // Respect scan locks only now that the version is reachable. The
         // reverse order (check locks, then link) left a window in which a
         // serializable scanner could lock the bucket/range *and* complete its
@@ -1368,39 +1392,55 @@ impl std::fmt::Debug for MvTransaction {
 
 /// Deterministic-interleaving hooks for the phantom-race regression tests.
 ///
-/// The window the §4.3 bugfix closes is a handful of instructions wide; on
-/// this project's single-core CI runner no stochastic schedule ever lands a
-/// preemption inside it (measured: thousands of seeded runs without one
-/// hit). The regression tests instead *construct* the interleaving: the
-/// inserter thread installs a thread-local callback that fires between
-/// `link_version` and `honor_scan_locks`, parks there on a rendezvous
-/// channel, and lets the test run a complete serializable scan inside the
-/// exact window the old code left unprotected. Thread-local on purpose —
-/// tests in the same process that never install a hook are unaffected.
+/// The windows these tests pin are a handful of instructions wide; on this
+/// project's single-core CI runner no stochastic schedule ever lands a
+/// preemption inside one (measured: thousands of seeded runs without one
+/// hit). The regression tests instead *construct* the interleaving: a
+/// thread installs a thread-local callback that fires at a named [`Gap`]
+/// and runs the other side of the race there — parking on a rendezvous
+/// channel while a complete serializable scan runs, or committing another
+/// transaction outright. Thread-local on purpose — tests in the same
+/// process that never install a hook are unaffected.
 #[cfg(test)]
 pub(crate) mod race_hooks {
     use std::cell::RefCell;
 
+    /// Where a hook fires.
+    #[derive(Clone, Copy)]
+    pub(crate) enum Gap {
+        /// In `add_new_version`, between `link_version` and
+        /// `honor_scan_locks`.
+        LinkHonor,
+        /// In a scan, between drawing the read time and walking the
+        /// candidates.
+        ReadTimeWalk,
+    }
+
+    type Hook = Option<Box<dyn FnMut()>>;
+
     thread_local! {
-        static LINK_HONOR_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+        static HOOKS: RefCell<[Hook; 2]> = const { RefCell::new([None, None]) };
     }
 
-    /// Install `hook` on the current thread; it fires on every
-    /// `add_new_version` this thread performs until cleared.
-    pub(crate) fn set_link_honor_gap(hook: Box<dyn FnMut()>) {
-        LINK_HONOR_GAP.with(|h| *h.borrow_mut() = Some(hook));
+    /// Install `hook` on the current thread; it fires every time this
+    /// thread passes `gap` until cleared.
+    pub(crate) fn set(gap: Gap, hook: Box<dyn FnMut()>) {
+        HOOKS.with(|h| h.borrow_mut()[gap as usize] = Some(hook));
     }
 
-    /// Remove the current thread's hook.
-    pub(crate) fn clear_link_honor_gap() {
-        LINK_HONOR_GAP.with(|h| *h.borrow_mut() = None);
+    /// Remove the current thread's hook at `gap`.
+    pub(crate) fn clear(gap: Gap) {
+        HOOKS.with(|h| h.borrow_mut()[gap as usize] = None);
     }
 
-    pub(crate) fn fire_link_honor_gap() {
-        LINK_HONOR_GAP.with(|h| {
-            if let Some(hook) = h.borrow_mut().as_mut() {
-                hook();
-            }
+    pub(crate) fn fire(gap: Gap) {
+        // Taken out while it runs, so the hook may drive the engine itself.
+        let Some(mut hook) = HOOKS.with(|h| h.borrow_mut()[gap as usize].take()) else {
+            return;
+        };
+        hook();
+        HOOKS.with(|h| {
+            h.borrow_mut()[gap as usize].get_or_insert(hook);
         });
     }
 }

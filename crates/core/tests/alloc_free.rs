@@ -670,11 +670,10 @@ fn warmed_async_commits_through_group_commit_log_allocate_nothing() {
     let _serial = serial();
     use mmdb_storage::group_commit::GroupCommitLog;
     use mmdb_storage::log::RedoLogger as _;
+    use mmdb_storage::scratch::TempDir;
 
-    let path = std::env::temp_dir().join(format!(
-        "mmdb-alloc-free-groupcommit-{}.log",
-        std::process::id()
-    ));
+    let dir = TempDir::new("alloc-free-groupcommit");
+    let path = dir.join("wal.log");
     let mut config = MvConfig::optimistic();
     config.deadlock_detector = false;
     config.gc_every_n_commits = 0;
@@ -718,5 +717,4 @@ fn warmed_async_commits_through_group_commit_log_allocate_nothing() {
     );
     drop(engine);
     drop(logger);
-    let _ = std::fs::remove_file(&path);
 }

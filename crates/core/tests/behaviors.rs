@@ -384,7 +384,8 @@ fn optimistic_writer_waits_for_pessimistic_read_lock() {
 
 #[test]
 fn replaying_the_redo_log_rebuilds_the_database() {
-    use mmdb_storage::{MemoryLogger, RedoLogger};
+    use mmdb_storage::scratch::TempDir;
+    use mmdb_storage::{MemoryLogger, RecoveryPlan, RedoLogger};
 
     let logger = Arc::new(MemoryLogger::new());
     let engine = MvEngine::with_logger(
@@ -420,16 +421,24 @@ fn replaying_the_redo_log_rebuilds_the_database() {
     txn.insert(t, rowbuf::keyed_row(100, FILLER, 2)).unwrap();
     txn.commit().unwrap();
 
-    // Recover into a fresh engine with the same table layout.
+    // Recover into a fresh engine with the same table layout, from the
+    // log's wire bytes written to a file (a bare log is a recovery plan
+    // with an empty checkpoint chain).
+    let dir = TempDir::new("behaviors-replay");
+    let path = dir.join("wal.log");
+    std::fs::write(&path, logger.encoded_bytes()).unwrap();
     let recovered = MvEngine::optimistic(MvConfig::default());
     let t2 = recovered
         .create_table(TableSpec::keyed_u64("t", 64))
         .unwrap();
     assert_eq!(t2, t, "table ids must match for replay");
-    let applied = logger
-        .with_records(|records| recovered.replay_log(records.iter().cloned()))
+    let report = recovered
+        .recover_from_checkpoint(&RecoveryPlan::for_log(&path))
         .unwrap();
-    assert_eq!(applied, 3, "only committed transactions are in the log");
+    assert_eq!(
+        report.records_applied, 3,
+        "only committed transactions are in the log"
+    );
 
     // The recovered database matches the original's visible state.
     let mut orig = engine.begin(IsolationLevel::ReadCommitted);
@@ -510,11 +519,10 @@ fn sync_commit_is_durable_on_return_while_async_commit_is_not_yet() {
     use mmdb_common::durability::Durability;
     use mmdb_storage::group_commit::GroupCommitLog;
     use mmdb_storage::log::read_log_file;
+    use mmdb_storage::scratch::TempDir;
 
-    let path = std::env::temp_dir().join(format!(
-        "mmdb-behaviors-durability-{}.log",
-        std::process::id()
-    ));
+    let dir = TempDir::new("behaviors-durability");
+    let path = dir.join("wal.log");
     // Tickless log: nothing hardens unless a Sync committer (or an explicit
     // flush) drives it — which makes the semantic difference observable.
     let logger = Arc::new(GroupCommitLog::create(&path).unwrap());
@@ -556,7 +564,6 @@ fn sync_commit_is_durable_on_return_while_async_commit_is_not_yet() {
     );
     drop(engine);
     drop(logger);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[cfg(target_os = "linux")]
@@ -609,11 +616,10 @@ fn onev_sync_commit_waits_for_the_group_commit_flush() {
     use mmdb_onev::{SvConfig, SvEngine};
     use mmdb_storage::group_commit::GroupCommitLog;
     use mmdb_storage::log::read_log_file;
+    use mmdb_storage::scratch::TempDir;
 
-    let path = std::env::temp_dir().join(format!(
-        "mmdb-behaviors-durability-1v-{}.log",
-        std::process::id()
-    ));
+    let dir = TempDir::new("behaviors-durability-1v");
+    let path = dir.join("wal.log");
     let logger = Arc::new(GroupCommitLog::create(&path).unwrap());
     let engine = SvEngine::with_logger(
         SvConfig::default().with_durability(Durability::Sync),
@@ -647,5 +653,4 @@ fn onev_sync_commit_waits_for_the_group_commit_flush() {
     );
     drop(engine);
     drop(logger);
-    let _ = std::fs::remove_file(&path);
 }

@@ -16,7 +16,7 @@
 //!   offer; it is treated as RepeatableRead (this limitation is exactly what
 //!   motivates the multiversion schemes).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -91,10 +91,6 @@ struct SvInner {
     stats: EngineStats,
     config: SvConfig,
     next_txn: AtomicU64,
-    /// When set, committing transactions skip the redo-log append (recovery
-    /// replay only — replaying a tail into an engine attached to that same
-    /// log must not re-append every record).
-    log_suppressed: AtomicBool,
 }
 
 /// The single-version locking engine ("1V").
@@ -119,7 +115,6 @@ impl SvEngine {
                 stats: EngineStats::new(),
                 config,
                 next_txn: AtomicU64::new(1),
-                log_suppressed: AtomicBool::new(false),
             }),
         }
     }
@@ -153,52 +148,6 @@ impl SvEngine {
     /// Number of rows in `table` (diagnostic).
     pub fn row_count(&self, table: TableId) -> Result<usize> {
         Ok(self.table(table)?.row_count())
-    }
-
-    /// Replay redo-log records into this (freshly created) engine.
-    ///
-    /// Mirrors the multiversion engine's `replay_log`:
-    /// records are sorted by end timestamp — the commit order the paper
-    /// derives durability from (§3.2) — and re-applied one transaction per
-    /// record: a `Write` op upserts the row by primary key, a `Delete` op
-    /// removes it. Tables must have been re-created (same IDs) first.
-    ///
-    /// Returns the number of log records applied.
-    pub fn replay_log<I>(&self, records: I) -> Result<usize>
-    where
-        I: IntoIterator<Item = LogRecord>,
-    {
-        let mut records: Vec<_> = records.into_iter().collect();
-        records.sort_by_key(|r| r.end_ts);
-        let mut applied = 0;
-        for record in records {
-            let mut txn = self.begin(IsolationLevel::ReadCommitted);
-            for op in record.ops {
-                match op {
-                    LogOp::Write { table, row } => {
-                        let key = self.table(table)?.key_of(IndexId(0), &row)?;
-                        if !txn.update(table, IndexId(0), key, row.clone())? {
-                            txn.insert(table, row)?;
-                        }
-                    }
-                    LogOp::Delete { table, key } => {
-                        txn.delete(table, IndexId(0), key)?;
-                    }
-                }
-            }
-            txn.commit()?;
-            applied += 1;
-        }
-        Ok(applied)
-    }
-
-    /// Suppress (or re-enable) redo logging. Recovery replay wraps its
-    /// transactions in a suppressed window; see
-    /// [`SvEngine::recover_from_checkpoint`].
-    pub fn set_log_suppressed(&self, suppressed: bool) {
-        self.inner
-            .log_suppressed
-            .store(suppressed, Ordering::Relaxed);
     }
 
     /// Take a checkpoint into `store` and truncate the redo log below it.
@@ -269,36 +218,27 @@ impl SvEngine {
         let (ckpt_lsn, read_ts) = barrier?;
 
         // Writers have resumed; everything below `ckpt_lsn` is immutable.
-        // Flush so the prefix is readable from the file, then collapse the
-        // window `(parent_ts, read_ts]` newest-wins per primary key. Frames
-        // below the *parent's* LSN were captured under the same barrier, so
-        // `end_ts > parent_ts` alone selects the window exactly.
-        store.logger().flush()?;
-        let limit = ckpt_lsn.0.saturating_sub(store.logger().base_lsn().0);
+        // Collapse the window `(parent_ts, read_ts]` newest-wins per primary
+        // key. Frames below the *parent's* LSN were captured under the same
+        // barrier, so `end_ts > parent_ts` alone selects the window exactly.
         let mut latest: std::collections::BTreeMap<(TableId, Key), (Timestamp, Option<Row>)> =
             std::collections::BTreeMap::new();
-        if limit > 0 {
-            let prefix = mmdb_storage::log::read_log_prefix(store.log_path(), limit)?;
-            for record in prefix.records {
-                if record.end_ts <= parent_ts {
-                    continue;
-                }
-                for op in record.ops {
-                    let (table, key, value) = match op {
-                        LogOp::Write { table, row } => {
-                            let key = self.table(table)?.key_of(IndexId(0), &row)?;
-                            (table, key, Some(row))
-                        }
-                        LogOp::Delete { table, key } => (table, key, None),
-                    };
-                    match latest.entry((table, key)) {
-                        Entry::Vacant(slot) => {
+        for record in store.logged_since(ckpt_lsn, parent_ts)? {
+            for op in record.ops {
+                let (table, key, value) = match op {
+                    LogOp::Write { table, row } => {
+                        let key = self.table(table)?.key_of(IndexId(0), &row)?;
+                        (table, key, Some(row))
+                    }
+                    LogOp::Delete { table, key } => (table, key, None),
+                };
+                match latest.entry((table, key)) {
+                    Entry::Vacant(slot) => {
+                        slot.insert((record.end_ts, value));
+                    }
+                    Entry::Occupied(mut slot) => {
+                        if record.end_ts >= slot.get().0 {
                             slot.insert((record.end_ts, value));
-                        }
-                        Entry::Occupied(mut slot) => {
-                            if record.end_ts >= slot.get().0 {
-                                slot.insert((record.end_ts, value));
-                            }
                         }
                     }
                 }
@@ -311,7 +251,7 @@ impl SvEngine {
                 None => writer.write_delete(table, key)?,
             }
         }
-        let installed = store.install_delta(writer.finish()?)?;
+        let installed = store.install_checkpoint(writer.finish()?)?;
         store.truncate_log()?;
         Ok(installed)
     }
@@ -404,13 +344,16 @@ impl SvEngine {
     /// [`RecoveryPlan`](mmdb_storage::checkpoint::RecoveryPlan): bulk-load
     /// the checkpoint chain (base image plus deltas, if any), then replay
     /// the log tail above the last chain element's LSN, skipping records
-    /// already inside the chain (`end_ts <= read_ts`).
+    /// already inside the chain (`end_ts <= read_ts`). A bare redo log is a
+    /// plan with an empty chain
+    /// ([`RecoveryPlan::for_log`](mmdb_storage::checkpoint::RecoveryPlan::for_log)).
     ///
-    /// The load is partitioned across a worker pool sharded by table
-    /// (`MMDB_RECOVERY_WORKERS`, defaulting to the machine's parallelism
-    /// capped at 8); chain rows, chain tombstones and tail ops collapse
-    /// into one `populate` per table, identical for any worker count and
-    /// bypassing the redo logger entirely.
+    /// This is the engine's only restart path. The load is partitioned
+    /// across a worker pool sharded by table (the machine's parallelism
+    /// capped at 8); chain rows, chain tombstones and tail ops collapse into
+    /// one `populate` per table, identical for any worker count, bypassing
+    /// the redo logger entirely and not re-checking uniqueness (the log and
+    /// images only ever hold committed, already-checked states).
     ///
     /// The report's `valid_bytes` is the *physical* clean prefix of the
     /// live log segment — what `CheckpointStore::open` takes to resume
@@ -419,19 +362,11 @@ impl SvEngine {
         &self,
         plan: &mmdb_storage::checkpoint::RecoveryPlan,
     ) -> Result<mmdb_storage::log::RecoveryReport> {
-        self.recover_from_checkpoint_with(plan, mmdb_storage::recovery::default_workers())
-    }
+        use mmdb_storage::recovery::{default_workers, recover_partitioned};
 
-    /// [`SvEngine::recover_from_checkpoint`] with an explicit worker count
-    /// (1 degenerates to the serial load).
-    pub fn recover_from_checkpoint_with(
-        &self,
-        plan: &mmdb_storage::checkpoint::RecoveryPlan,
-        workers: usize,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
         let key_of = |table: TableId, row: &Row| self.table(table)?.key_of(IndexId(0), row);
         let apply = |table: TableId, rows: Vec<Row>| self.populate(table, rows).map(|_| ());
-        let image = mmdb_storage::recovery::recover_partitioned(plan, workers, &key_of, &apply)?;
+        let image = recover_partitioned(plan, default_workers(), &key_of, &apply)?;
         // Recovered timestamps came from the previous process's clock; the
         // delta-checkpoint window comparisons need every future draw to
         // postdate them.
@@ -441,28 +376,6 @@ impl SvEngine {
             valid_bytes: image.valid_bytes,
             torn_bytes: image.torn_bytes,
         })
-    }
-
-    /// Recover from the framed bytes of a redo log, tolerating a torn tail
-    /// left by a crash mid-append (see [`SvEngine::replay_log`]).
-    pub fn recover_bytes(&self, bytes: &[u8]) -> Result<mmdb_storage::log::RecoveryReport> {
-        let outcome = mmdb_storage::log::read_log_bytes(bytes)?;
-        let records_applied = self.replay_log(outcome.records)?;
-        Ok(mmdb_storage::log::RecoveryReport {
-            records_applied,
-            valid_bytes: outcome.valid_bytes,
-            torn_bytes: outcome.torn_bytes,
-        })
-    }
-
-    /// Recover from the redo-log file at `path` (see
-    /// [`SvEngine::recover_bytes`]).
-    pub fn recover_file(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
-        let bytes = std::fs::read(path).map_err(|e| MmdbError::LogIo(e.to_string()))?;
-        self.recover_bytes(&bytes)
     }
 }
 
@@ -938,7 +851,7 @@ impl EngineTxn for SvTransaction {
             return Err(MmdbError::Aborted);
         }
         let ts = self.inner.clock.next_timestamp();
-        if !self.log_ops.is_empty() && !self.inner.log_suppressed.load(Ordering::Relaxed) {
+        if !self.log_ops.is_empty() {
             let record = LogRecord {
                 end_ts: ts,
                 ops: std::mem::take(&mut self.log_ops),

@@ -39,10 +39,11 @@
 //!
 //! ## Delta checkpoints
 //!
-//! A *delta* image ([`CheckpointStore::begin_delta`] /
-//! [`CheckpointStore::install_delta`]) holds only the rows whose latest
-//! committed version moved past the previous chain element's snapshot
-//! (`parent_read_ts < begin_ts <= read_ts`) plus the primary keys deleted
+//! A *delta* image ([`CheckpointStore::begin_delta`], installed like a
+//! base through [`CheckpointStore::install_checkpoint`]) holds only the
+//! rows whose latest committed version moved past the previous chain
+//! element's snapshot (`parent_read_ts < begin_ts <= read_ts`) plus the
+//! primary keys deleted
 //! in that window — checkpointing pays for what changed, not what exists.
 //! Recovery applies the base, then each delta in chain order (**its deletes
 //! first, then its writes** — a delete+reinsert in one window therefore
@@ -88,7 +89,7 @@
 //! reordered prefix of the log.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -101,7 +102,10 @@ use mmdb_common::ids::{TableId, Timestamp};
 use mmdb_common::row::Row;
 
 use crate::group_commit::{sync_parent_dir, GroupCommitLog};
-use crate::log::{decode_body, encode_frame_into, frame_body_into, FrameStream, LogOpRef, Lsn};
+use crate::log::{
+    decode_body, encode_frame_into, frame_body_into, read_log_stream, FrameStream, LogOpRef,
+    LogRecord, Lsn, RedoLogger, READ_CHUNK,
+};
 
 /// Magic bytes opening a checkpoint file's header frame.
 const CKPT_MAGIC: &[u8; 8] = b"MMDBCKP1";
@@ -317,6 +321,20 @@ pub struct RecoveryPlan {
 }
 
 impl RecoveryPlan {
+    /// The plan for a bare redo log outside any checkpoint directory: an
+    /// empty chain, so recovery replays the whole file at `path` from byte
+    /// 0. This is how a log-only restart goes through the same bulk load as
+    /// a checkpoint restart.
+    pub fn for_log(path: impl AsRef<Path>) -> RecoveryPlan {
+        RecoveryPlan {
+            generation: 0,
+            chain: Vec::new(),
+            log_path: path.as_ref().to_path_buf(),
+            log_base: Lsn::ZERO,
+            manifest_valid_bytes: 0,
+        }
+    }
+
     /// The last chain element — the checkpoint whose LSN and snapshot
     /// timestamp bound the log tail. `None` before the first checkpoint.
     pub fn last_checkpoint(&self) -> Option<&CheckpointRef> {
@@ -365,9 +383,8 @@ pub struct CheckpointWriter {
 }
 
 /// A finished (written + fsynced) checkpoint still under its temporary
-/// name. Pass to [`CheckpointStore::install_checkpoint`] (base) or
-/// [`CheckpointStore::install_delta`] (delta) to make it part of the
-/// recovery source.
+/// name. Pass to [`CheckpointStore::install_checkpoint`] (base or delta)
+/// to make it part of the recovery source.
 pub struct FinishedCheckpoint {
     tmp_path: PathBuf,
     lsn: Lsn,
@@ -931,77 +948,45 @@ impl CheckpointStore {
         )
     }
 
-    /// Make a finished base image the recovery source: rename it to
-    /// `ckpt-<g>.db`, fsync the directory, append (and fsync) a manifest
-    /// entry whose chain is just this image. The log is untouched — call
-    /// [`truncate_log`](Self::truncate_log) next to reclaim its prefix. The
-    /// previously installed chain's files (base and any deltas — this is
-    /// how a chain compacts) are deleted once the new entry is durable.
+    /// Make a finished image part of the recovery source, routed on its
+    /// kind:
+    ///
+    /// * a **base** ([`begin_checkpoint`](Self::begin_checkpoint)) is renamed
+    ///   to `ckpt-<g>.db` and becomes the whole chain; the previously
+    ///   installed chain's files (base and any deltas — this is how a chain
+    ///   compacts) are deleted once the new manifest entry is durable;
+    /// * a **delta** ([`begin_delta`](Self::begin_delta)) is renamed to
+    ///   `delta-<g>.db` and appended to the chain, whose earlier elements
+    ///   remain the recovery prefix. Its parent snapshot must match the
+    ///   current chain tip (checkpoints are serialized by the engines, so a
+    ///   mismatch is a protocol bug).
+    ///
+    /// Either way the directory is fsynced after the rename and the manifest
+    /// entry is appended (and fsynced) before this returns. The log is
+    /// untouched — call [`truncate_log`](Self::truncate_log) next to reclaim
+    /// its prefix.
     pub fn install_checkpoint(&self, finished: FinishedCheckpoint) -> Result<CheckpointRef> {
-        if finished.parent_read_ts.is_some() {
-            return Err(invalid("a delta image must be installed via install_delta"));
-        }
         let mut m = self.manifest.lock();
         let generation = m.current.generation + 1;
-        let name = format!("ckpt-{generation}.db");
+        let (name, mut chain) = match finished.parent_read_ts {
+            None => (format!("ckpt-{generation}.db"), Vec::new()),
+            Some(parent_read_ts) => {
+                let tip = m
+                    .current
+                    .chain
+                    .last()
+                    .ok_or(invalid("no checkpoint chain to append a delta to"))?;
+                if tip.read_ts != parent_read_ts {
+                    return Err(invalid(
+                        "delta parent snapshot does not match the chain tip",
+                    ));
+                }
+                (format!("delta-{generation}.db"), m.current.chain.clone())
+            }
+        };
         let path = self.dir.join(&name);
         fs::rename(&finished.tmp_path, &path).map_err(io_err)?;
         sync_parent_dir(&path);
-        let entry = ManifestEntry {
-            generation,
-            log_name: m.current.log_name.clone(),
-            log_base: m.current.log_base,
-            chain: vec![CheckpointMeta {
-                name,
-                lsn: finished.lsn,
-                read_ts: finished.read_ts,
-            }],
-        };
-        append_manifest_entry(&mut m.file, &entry)?;
-        let old_chain = std::mem::take(&mut m.current.chain);
-        m.current = entry;
-        drop(m);
-        self.bytes_written
-            .fetch_add(finished.bytes, std::sync::atomic::Ordering::Relaxed);
-        for old in old_chain {
-            let _ = fs::remove_file(self.dir.join(old.name));
-        }
-        Ok(CheckpointRef {
-            path,
-            lsn: finished.lsn,
-            read_ts: finished.read_ts,
-        })
-    }
-
-    /// Append a finished delta image to the installed chain: rename it to
-    /// `delta-<g>.db`, fsync the directory, append (and fsync) a manifest
-    /// entry with the extended chain. No file is deleted — the chain's
-    /// earlier elements remain the recovery prefix. The delta's parent
-    /// snapshot must match the current chain tip (checkpoints are
-    /// serialized by the engines, so a mismatch is a protocol bug).
-    pub fn install_delta(&self, finished: FinishedCheckpoint) -> Result<CheckpointRef> {
-        let Some(parent_read_ts) = finished.parent_read_ts else {
-            return Err(invalid(
-                "a base image must be installed via install_checkpoint",
-            ));
-        };
-        let mut m = self.manifest.lock();
-        let tip = m
-            .current
-            .chain
-            .last()
-            .ok_or(invalid("no checkpoint chain to append a delta to"))?;
-        if tip.read_ts != parent_read_ts {
-            return Err(invalid(
-                "delta parent snapshot does not match the chain tip",
-            ));
-        }
-        let generation = m.current.generation + 1;
-        let name = format!("delta-{generation}.db");
-        let path = self.dir.join(&name);
-        fs::rename(&finished.tmp_path, &path).map_err(io_err)?;
-        sync_parent_dir(&path);
-        let mut chain = m.current.chain.clone();
         chain.push(CheckpointMeta {
             name,
             lsn: finished.lsn,
@@ -1014,15 +999,38 @@ impl CheckpointStore {
             chain,
         };
         append_manifest_entry(&mut m.file, &entry)?;
-        m.current = entry;
+        let replaced = std::mem::replace(&mut m.current, entry);
         drop(m);
         self.bytes_written
             .fetch_add(finished.bytes, std::sync::atomic::Ordering::Relaxed);
+        if finished.parent_read_ts.is_none() {
+            for old in replaced.chain {
+                let _ = fs::remove_file(self.dir.join(old.name));
+            }
+        }
         Ok(CheckpointRef {
             path,
             lsn: finished.lsn,
             read_ts: finished.read_ts,
         })
+    }
+
+    /// The committed records a delta checkpoint's window covers: every
+    /// record in the live log segment below `lsn` whose end timestamp is
+    /// later than `after` (the parent snapshot). Flushes the log first so
+    /// the prefix is readable from the file. `lsn` must have been read from
+    /// the logger's append counter, so it falls on a frame boundary and the
+    /// bounded read never reports torn bytes.
+    pub fn logged_since(&self, lsn: Lsn, after: Timestamp) -> Result<Vec<LogRecord>> {
+        self.logger.flush()?;
+        let len = lsn.0.saturating_sub(self.logger.base_lsn().0);
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let file = File::open(self.log_path()).map_err(io_err)?;
+        let mut records = read_log_stream(file.take(len), READ_CHUNK, 0)?.records;
+        records.retain(|record| record.end_ts > after);
+        Ok(records)
     }
 
     /// Truncate the redo log below the chain tip's LSN by rotating onto
@@ -1083,13 +1091,11 @@ fn file_name(path: &Path) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{read_log_file_from, LogOp, LogRecord, RedoLogger};
+    use crate::log::{read_log_file_from, LogOp};
+    use crate::scratch::TempDir;
 
-    fn scratch_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mmdb-checkpoint-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn scratch_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("checkpoint-{tag}"))
     }
 
     fn record(ts: u64, rows: usize) -> LogRecord {
@@ -1118,7 +1124,6 @@ mod tests {
         assert_eq!(plan.log_base, Lsn::ZERO);
         assert_eq!(plan.log_tail_offset(), 0);
         assert_eq!(plan.log_path, dir.join("wal-0.log"));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1143,7 +1148,6 @@ mod tests {
         assert_eq!(contents.lsn, Lsn(123));
         assert_eq!(contents.read_ts, Timestamp(77));
         assert_eq!(contents.rows, expected);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1156,7 +1160,6 @@ mod tests {
         let contents = read_checkpoint(dir.join("ckpt.tmp")).unwrap();
         assert_eq!(contents.rows, Vec::new());
         assert_eq!(contents.read_ts, Timestamp(9));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1183,7 +1186,6 @@ mod tests {
                 "cut at {cut}: unexpected error {err:?}"
             );
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1240,7 +1242,6 @@ mod tests {
         let tail_ts: Vec<u64> = tail.records.iter().map(|r| r.end_ts.raw()).collect();
         assert_eq!(tail_ts, vec![7, 8, 9, 10, 11]);
         assert_eq!(tail.torn_bytes, 0);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1282,7 +1283,6 @@ mod tests {
             let err = plan_at(&full[..cut]).expect_err("no complete entry");
             assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1324,7 +1324,6 @@ mod tests {
         let plan = CheckpointStore::plan(&dir).unwrap();
         assert_eq!(plan.generation, 3);
         assert_eq!(plan.last_checkpoint().unwrap().read_ts, Timestamp(2));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1359,7 +1358,6 @@ mod tests {
             vec![(TableId(0), Row::copy_from_slice(&[7u8; 24]))]
         );
         assert_eq!(contents.deletes, vec![(TableId(1), 42), (TableId(0), 9)]);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1369,7 +1367,6 @@ mod tests {
         let mut writer = store.begin_checkpoint(Lsn(1), Timestamp(1)).unwrap();
         let err = writer.write_delete(TableId(0), 1).expect_err("must reject");
         assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1381,11 +1378,10 @@ mod tests {
             Err(err) => err,
         };
         assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn install_delta_extends_the_chain_and_compaction_resets_it() {
+    fn installing_deltas_extends_the_chain_and_a_base_resets_it() {
         let dir = scratch_dir("delta-chain");
         let store = CheckpointStore::create(&dir).unwrap();
         let logger = Arc::clone(store.logger());
@@ -1406,7 +1402,7 @@ mod tests {
                 .begin_delta(logger.appended_lsn(), Timestamp(ts))
                 .unwrap();
             writer.write_row(TableId(0), &[ts as u8; 16]).unwrap();
-            store.install_delta(writer.finish().unwrap()).unwrap();
+            store.install_checkpoint(writer.finish().unwrap()).unwrap();
             assert_eq!(store.chain_len(), expect_len);
         }
         assert!(store.checkpoint_bytes_written() > base_bytes);
@@ -1446,28 +1442,24 @@ mod tests {
         let plan = CheckpointStore::plan(&dir).unwrap();
         assert_eq!(plan.chain.len(), 1);
         assert_eq!(plan.last_checkpoint().unwrap().read_ts, Timestamp(7));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn install_routes_enforce_image_kind() {
-        let dir = scratch_dir("install-kind");
+    fn a_delta_against_a_superseded_tip_is_rejected() {
+        let dir = scratch_dir("stale-delta");
         let store = CheckpointStore::create(&dir).unwrap();
-        let writer = store.begin_checkpoint(Lsn(1), Timestamp(1)).unwrap();
-        let finished = writer.finish().unwrap();
+        let base = store.begin_checkpoint(Lsn(1), Timestamp(1)).unwrap();
+        store.install_checkpoint(base.finish().unwrap()).unwrap();
+        let stale = store.begin_delta(Lsn(2), Timestamp(2)).unwrap();
+        let stale = stale.finish().unwrap();
+        // A compaction lands first: the delta's parent is no longer the tip.
+        let base = store.begin_checkpoint(Lsn(3), Timestamp(3)).unwrap();
+        store.install_checkpoint(base.finish().unwrap()).unwrap();
         let err = store
-            .install_delta(finished)
-            .expect_err("base via install_delta");
+            .install_checkpoint(stale)
+            .expect_err("delta whose parent is not the chain tip");
         assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
-        let writer = store.begin_checkpoint(Lsn(1), Timestamp(1)).unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
-        let writer = store.begin_delta(Lsn(2), Timestamp(2)).unwrap();
-        let finished = writer.finish().unwrap();
-        let err = store
-            .install_checkpoint(finished)
-            .expect_err("delta via install_checkpoint");
-        assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(store.chain_len(), 1);
     }
 
     #[test]
@@ -1495,7 +1487,6 @@ mod tests {
         assert!(!dir.join("ckpt.tmp").exists());
         assert!(!dir.join("delta.tmp").exists());
         assert!(dir.join("ckpt-1.db").exists());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1516,6 +1507,5 @@ mod tests {
             .unwrap();
         store.install_checkpoint(writer.finish().unwrap()).unwrap();
         assert!(!store.checkpoint_due(&policy));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -31,7 +31,7 @@
 //! Batch boundaries are **invisible on the wire**: the file is the exact
 //! concatenation of the appended frames, byte-identical to what a
 //! [`FileLogger`](crate::log::FileLogger) produces for the same appends.
-//! [`LogReader`](crate::log::LogReader) and recovery are therefore
+//! The log reader and recovery are therefore
 //! unaffected — a crash mid-batch is just a torn tail at some frame-interior
 //! offset, which the recovery suite exercises explicitly.
 //!
@@ -572,6 +572,7 @@ impl std::fmt::Debug for GroupCommitLog {
 mod tests {
     use super::*;
     use crate::log::{read_log_bytes, read_log_file, FileLogger, LogOp};
+    use crate::scratch::TempDir;
     use mmdb_common::error::MmdbError;
     use mmdb_common::ids::{TableId, Timestamp};
     use mmdb_common::row::Row;
@@ -586,13 +587,14 @@ mod tests {
         }
     }
 
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("mmdb-groupcommit-{}-{tag}.log", std::process::id()))
+    fn scratch(tag: &str) -> TempDir {
+        TempDir::new(&format!("groupcommit-{tag}"))
     }
 
     #[test]
     fn batched_frames_round_trip_and_boundaries_are_invisible() {
-        let path = scratch("roundtrip");
+        let dir = scratch("roundtrip");
+        let path = dir.join("wal.log");
         let records: Vec<LogRecord> = (0..10).map(|i| record(i + 1, i as u8)).collect();
         {
             let log = GroupCommitLog::create(&path).unwrap();
@@ -615,7 +617,8 @@ mod tests {
         let outcome = read_log_bytes(&bytes).unwrap();
         assert!(outcome.is_clean());
         assert_eq!(outcome.records, records);
-        let file_path = scratch("roundtrip-file");
+        let file_path_dir = scratch("roundtrip-file");
+        let file_path = file_path_dir.join("wal.log");
         {
             let file_log = FileLogger::create(&file_path).unwrap();
             for r in &records {
@@ -624,25 +627,24 @@ mod tests {
             file_log.flush().unwrap();
         }
         assert_eq!(bytes, std::fs::read(&file_path).unwrap());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&file_path);
     }
 
     #[test]
     fn drop_hardens_the_tail() {
-        let path = scratch("drop");
+        let dir = scratch("drop");
+        let path = dir.join("wal.log");
         {
             let log = GroupCommitLog::create(&path).unwrap();
             log.append(record(1, 0xAA));
             // No flush, no wait: drop must harden the buffered frame.
         }
         assert_eq!(read_log_file(&path).unwrap().records, vec![record(1, 0xAA)]);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn ticked_flusher_hardens_without_any_explicit_flush() {
-        let path = scratch("ticked");
+        let dir = scratch("ticked");
+        let path = dir.join("wal.log");
         let log = GroupCommitLog::with_tick(&path, Duration::from_millis(1)).unwrap();
         let lsn = log.append_frame_ticketed(&encode_record(&record(3, 1)));
         // The background flusher alone must advance the watermark.
@@ -650,19 +652,18 @@ mod tests {
         assert!(log.durable_lsn() >= lsn);
         assert_eq!(read_log_file(&path).unwrap().records, vec![record(3, 1)]);
         drop(log);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn tickless_wait_durable_elects_an_inline_leader() {
-        let path = scratch("leader");
+        let dir = scratch("leader");
+        let path = dir.join("wal.log");
         let log = GroupCommitLog::create(&path).unwrap();
         let lsn = log.append_frame_ticketed(&encode_record(&record(5, 2)));
         // No ticker exists; wait_durable itself must flush.
         log.wait_durable(lsn).unwrap();
         assert_eq!(read_log_file(&path).unwrap().records, vec![record(5, 2)]);
         drop(log);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// The ordering acceptance test: racing committers against the flusher,
@@ -677,7 +678,8 @@ mod tests {
             ("order-tickless", None),
             ("order-ticked", Some(Duration::from_micros(200))),
         ] {
-            let path = scratch(tag);
+            let dir = scratch(tag);
+            let path = dir.join("wal.log");
             let log = Arc::new(match tick {
                 None => GroupCommitLog::create(&path).unwrap(),
                 Some(t) => GroupCommitLog::with_tick(&path, t).unwrap(),
@@ -709,7 +711,6 @@ mod tests {
             assert_eq!(outcome.records.len(), (THREADS * APPENDS) as usize);
             assert_eq!(log.records_written(), THREADS * APPENDS);
             drop(log);
-            let _ = std::fs::remove_file(&path);
         }
     }
 
@@ -720,7 +721,8 @@ mod tests {
     /// quantitative claim.)
     #[test]
     fn concurrent_committers_coalesce_into_batches() {
-        let path = scratch("coalesce");
+        let dir = scratch("coalesce");
+        let path = dir.join("wal.log");
         let log = Arc::new(GroupCommitLog::create(&path).unwrap());
         const THREADS: u64 = 4;
         const APPENDS: u64 = 128;
@@ -745,7 +747,6 @@ mod tests {
             THREADS * APPENDS
         );
         drop(log);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[cfg(target_os = "linux")]
@@ -797,7 +798,8 @@ mod tests {
     /// drop) and asserts the file never grows.
     #[test]
     fn a_torn_log_never_writes_later_batches() {
-        let path = scratch("torn-gate");
+        let dir = scratch("torn-gate");
+        let path = dir.join("wal.log");
         let log = GroupCommitLog::create(&path).unwrap();
         log.append(record(1, 1));
         log.flush().unwrap();
@@ -839,12 +841,12 @@ mod tests {
             vec![record(1, 1)],
             "no bytes may reach the file after the tear"
         );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn open_append_cuts_the_torn_tail_and_resumes_lsns() {
-        let path = scratch("reopen");
+        let dir = scratch("reopen");
+        let path = dir.join("wal.log");
         let end;
         {
             let log = GroupCommitLog::create(&path).unwrap();
@@ -869,13 +871,14 @@ mod tests {
         let outcome = read_log_file(&path).unwrap();
         assert!(outcome.is_clean());
         assert_eq!(outcome.records, vec![record(1, 1), record(3, 3)]);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn rotate_to_truncates_the_prefix_and_keeps_lsns_monotone() {
-        let path = scratch("rotate-old");
-        let new_path = scratch("rotate-new");
+        let dir = scratch("rotate-old");
+        let path = dir.join("wal.log");
+        let new_path_dir = scratch("rotate-new");
+        let new_path = new_path_dir.join("wal.log");
         let log = GroupCommitLog::create(&path).unwrap();
         let a = log.append_frame_ticketed(&encode_record(&record(1, 0)));
         log.flush().unwrap();
@@ -903,14 +906,14 @@ mod tests {
         // The old segment is the caller's to delete, untouched since.
         assert_eq!(read_log_file(&path).unwrap().records.len(), 2);
         drop(log);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&new_path);
     }
 
     #[test]
     fn rotate_to_publish_failure_keeps_the_old_segment_active() {
-        let path = scratch("rotate-fail-old");
-        let new_path = scratch("rotate-fail-new");
+        let dir = scratch("rotate-fail-old");
+        let path = dir.join("wal.log");
+        let new_path_dir = scratch("rotate-fail-new");
+        let new_path = new_path_dir.join("wal.log");
         let log = GroupCommitLog::create(&path).unwrap();
         let a = log.append_frame_ticketed(&encode_record(&record(1, 0)));
         log.flush().unwrap();
@@ -927,12 +930,12 @@ mod tests {
         log.wait_durable(b).unwrap();
         assert_eq!(read_log_file(&path).unwrap().records.len(), 2);
         drop(log);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn lsn_tickets_are_monotone_byte_offsets() {
-        let path = scratch("lsn");
+        let dir = scratch("lsn");
+        let path = dir.join("wal.log");
         let log = GroupCommitLog::create(&path).unwrap();
         assert_eq!(log.appended_lsn(), Lsn::ZERO);
         let frame = encode_record(&record(1, 0));
@@ -946,6 +949,5 @@ mod tests {
         log.flush().unwrap();
         assert_eq!(log.durable_lsn(), b);
         drop(log);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -27,8 +27,9 @@
 //!   ([`CheckpointStore`]): consistent snapshot images, the torn-tolerant
 //!   `MANIFEST`, and crash-atomic write → install → truncate, turning
 //!   recovery into load-checkpoint + replay-tail.
-//! * [`recovery`] — partitioned parallel recovery: one decode pass over the
-//!   checkpoint chain + log tail, table-sharded apply workers.
+//! * [`recovery`] — the one restart algorithm: one decode pass over the
+//!   checkpoint chain + log tail (a bare log is a plan with an empty chain),
+//!   table-sharded apply workers.
 //! * [`store`] — [`MvStore`], the bundle shared by all transactions.
 
 #![warn(missing_docs)]
@@ -40,6 +41,8 @@ pub mod gc;
 pub mod group_commit;
 pub mod log;
 pub mod recovery;
+#[doc(hidden)]
+pub mod scratch;
 pub mod store;
 pub mod table;
 pub mod txn_table;

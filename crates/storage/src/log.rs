@@ -30,10 +30,10 @@
 //!
 //! `checksum` is [`hash_bytes`] over `body`; the length prefix carries its
 //! own XOR self-check (it is what the reader walks the file by, so it can't
-//! rely on the body checksum it locates). Together they let [`LogReader`]
-//! distinguish a **torn tail** (a crash mid-append truncated the file:
-//! fewer bytes remain than the frame promises — tolerated, the partial
-//! frame is discarded) from **corruption** inside the valid region (length
+//! rely on the body checksum it locates). Together they let the reader
+//! ([`read_log_bytes`], [`read_log_file`]) distinguish a **torn tail** (a
+//! crash mid-append truncated the file: fewer bytes remain than the frame
+//! promises — tolerated, the partial frame is discarded) from **corruption** inside the valid region (length
 //! self-check, checksum or structure mismatch — surfaced as
 //! [`MmdbError::LogCorrupt`]).
 
@@ -222,91 +222,6 @@ pub(crate) fn decode_body(body: &[u8], offset: u64) -> Result<LogRecord> {
     })
 }
 
-/// Iterator-style decoder over the framed log bytes.
-///
-/// A crash truncates the log at an arbitrary byte offset, so the last frame
-/// may be incomplete. [`LogReader::next_record`] treats an incomplete frame
-/// as end-of-log (`Ok(None)` with [`LogReader::is_torn`] set) rather than
-/// an error; anything structurally wrong *inside* a complete frame is
-/// [`MmdbError::LogCorrupt`].
-pub struct LogReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    torn: bool,
-}
-
-impl<'a> LogReader<'a> {
-    /// Read frames from a byte buffer (e.g. the contents of a log file).
-    pub fn new(buf: &'a [u8]) -> LogReader<'a> {
-        LogReader {
-            buf,
-            pos: 0,
-            torn: false,
-        }
-    }
-
-    /// Byte offset of the next unread frame — after the final
-    /// `next_record()`, the number of cleanly decoded bytes.
-    pub fn offset(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// True once the reader has hit an incomplete trailing frame.
-    pub fn is_torn(&self) -> bool {
-        self.torn
-    }
-
-    /// Decode the next complete record. `Ok(None)` means no complete frame
-    /// remains — either a clean end of log or a torn tail (check
-    /// [`is_torn`](Self::is_torn)).
-    pub fn next_record(&mut self) -> Result<Option<LogRecord>> {
-        if self.torn {
-            return Ok(None);
-        }
-        let remaining = &self.buf[self.pos..];
-        if remaining.is_empty() {
-            return Ok(None);
-        }
-        let offset = self.pos as u64;
-        if remaining.len() < 8 {
-            self.torn = true;
-            return Ok(None);
-        }
-        let body_len = u32::from_le_bytes(remaining[0..4].try_into().expect("4 bytes"));
-        let len_check = u32::from_le_bytes(remaining[4..8].try_into().expect("4 bytes"));
-        if body_len ^ LEN_CHECK_XOR != len_check {
-            // The walk depends on the length being right; a header whose two
-            // words disagree is corruption, not a tear — treating it as a
-            // torn tail would silently drop every later committed record.
-            return Err(MmdbError::LogCorrupt {
-                offset,
-                reason: "length prefix fails its self-check",
-            });
-        }
-        let body_len = body_len as usize;
-        let frame_len = 8 + body_len + 8;
-        if remaining.len() < frame_len {
-            self.torn = true;
-            return Ok(None);
-        }
-        let body = &remaining[8..8 + body_len];
-        let stored = u64::from_le_bytes(
-            remaining[8 + body_len..frame_len]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        if hash_bytes(body) != stored {
-            return Err(MmdbError::LogCorrupt {
-                offset,
-                reason: "checksum mismatch",
-            });
-        }
-        let record = decode_body(body, offset)?;
-        self.pos += frame_len;
-        Ok(Some(record))
-    }
-}
-
 /// Everything a tolerant read of a (possibly crash-truncated) log yields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogReadOutcome {
@@ -327,17 +242,8 @@ impl LogReadOutcome {
 
 /// Decode every complete record from `buf`, tolerating a torn tail.
 pub fn read_log_bytes(buf: &[u8]) -> Result<LogReadOutcome> {
-    let mut reader = LogReader::new(buf);
-    let mut records = Vec::new();
-    while let Some(record) = reader.next_record()? {
-        records.push(record);
-    }
-    let valid_bytes = reader.offset();
-    Ok(LogReadOutcome {
-        records,
-        valid_bytes,
-        torn_bytes: buf.len() as u64 - valid_bytes,
-    })
+    // One chunk holds the whole buffer: a single copy, no refills.
+    read_log_stream(buf, buf.len(), 0)
 }
 
 /// Chunk size of the streaming log reader: how many bytes each `read(2)`
@@ -373,23 +279,12 @@ pub fn read_log_file_from(path: impl AsRef<Path>, start: u64) -> Result<LogReadO
     read_log_stream(file, READ_CHUNK, start)
 }
 
-/// Decode the complete records occupying the first `len` bytes of the log
-/// file at `path`, ignoring everything after.
-///
-/// The delta checkpointers use this to scan the immutable log prefix below a
-/// captured checkpoint LSN: `len` is `ckpt_lsn - segment base`, which both
-/// engines guarantee falls on a frame boundary (the LSN was read from the
-/// logger's append counter), so the truncated read never reports torn bytes.
-pub fn read_log_prefix(path: impl AsRef<Path>, len: u64) -> Result<LogReadOutcome> {
-    let io = |e: std::io::Error| MmdbError::LogIo(e.to_string());
-    let file = File::open(path).map_err(io)?;
-    read_log_stream(file.take(len), READ_CHUNK, 0)
-}
-
-/// Streaming raw-frame reader: pulls `chunk`-sized reads from an [`Read`]
-/// source and yields the body of each complete frame, mirroring
-/// [`LogReader::next_record`]'s torn/corrupt discipline exactly. Shared by
-/// the log read side (bodies decode as [`LogRecord`]s) and the checkpoint
+/// The one frame decoder: pulls `chunk`-sized reads from a [`Read`] source
+/// and yields the body of each complete frame. An incomplete trailing frame
+/// ends the stream as a torn tail (`Ok(None)`, counted in
+/// [`torn_bytes`](Self::torn_bytes)); a complete frame that fails its
+/// length self-check or checksum is [`MmdbError::LogCorrupt`]. Shared by the
+/// log read side (bodies decode as [`LogRecord`]s) and the checkpoint
 /// subsystem (bodies are checkpoint header/row/trailer and manifest
 /// entries — same wire discipline, different body schema).
 pub(crate) struct FrameStream<R: Read> {
@@ -519,9 +414,13 @@ pub(crate) fn frame_body_into(buf: &mut Vec<u8>, body: &[u8]) {
     buf.extend_from_slice(&hash_bytes(body).to_le_bytes());
 }
 
-/// Core of the streaming read: a [`FrameStream`] whose bodies decode as
+/// Core of every log read: a [`FrameStream`] whose bodies decode as
 /// [`LogRecord`]s. `base` is the absolute offset of the reader's first byte.
-fn read_log_stream(reader: impl Read, chunk: usize, base: u64) -> Result<LogReadOutcome> {
+pub(crate) fn read_log_stream(
+    reader: impl Read,
+    chunk: usize,
+    base: u64,
+) -> Result<LogReadOutcome> {
     let mut frames = FrameStream::new(reader, chunk, base);
     let mut records = Vec::new();
     while let Some((offset, body)) = frames.next_body()? {
@@ -553,9 +452,8 @@ impl Lsn {
     pub const ZERO: Lsn = Lsn(0);
 }
 
-/// What a [`recover`](LogReadOutcome)-style replay did: how much log it
-/// consumed and how many records it applied. Returned by the engines'
-/// `recover_bytes` / `recover_file` entry points.
+/// What a restart did: how much log it consumed and how many tail records
+/// it applied. Returned by the engines' `recover_from_checkpoint`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Number of log records replayed into the engine.
@@ -581,9 +479,10 @@ pub trait RedoLogger: Send + Sync + 'static {
     /// [`RedoLogger::append`], so record-keeping loggers (and any external
     /// implementation) keep working unchanged.
     fn append_frame(&self, frame: &[u8]) {
-        let mut reader = LogReader::new(frame);
-        while let Ok(Some(record)) = reader.next_record() {
-            self.append(record);
+        if let Ok(outcome) = read_log_bytes(frame) {
+            for record in outcome.records {
+                self.append(record);
+            }
         }
     }
 
@@ -912,6 +811,7 @@ impl RedoLogger for FileLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::TempDir;
 
     fn record(ts: u64, rows: usize) -> LogRecord {
         LogRecord {
@@ -1128,8 +1028,8 @@ mod tests {
         null.append_frame(&encode_record(&record(1, 1)));
         assert_eq!(null.records_written(), 1);
 
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-frame-test-{}.bin", std::process::id()));
+        let dir = TempDir::new("log-frame");
+        let path = dir.join("log.bin");
         let rec = mixed_record(8);
         {
             let log = FileLogger::create(&path).unwrap();
@@ -1139,13 +1039,12 @@ mod tests {
         }
         let outcome = read_log_file(&path).unwrap();
         assert_eq!(outcome.records, vec![rec]);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn file_logger_round_trips_through_the_reader() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-test-{}.bin", std::process::id()));
+        let dir = TempDir::new("log");
+        let path = dir.join("log.bin");
         let records = vec![record(7, 3), mixed_record(8), record(9, 1)];
         {
             let log = FileLogger::create(&path).unwrap();
@@ -1164,7 +1063,6 @@ mod tests {
             memory.append(r.clone());
         }
         assert_eq!(std::fs::read(&path).unwrap(), memory.encoded_bytes());
-        let _ = std::fs::remove_file(&path);
     }
 
     /// The torn-log contract: once the sticky error is set, the logger
@@ -1173,8 +1071,8 @@ mod tests {
     /// synced offset, so unconfirmed bytes can never surface in recovery.
     #[test]
     fn torn_file_logger_discards_its_tail_and_truncates_to_the_synced_prefix() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-torn-test-{}.bin", std::process::id()));
+        let dir = TempDir::new("log-torn");
+        let path = dir.join("log.bin");
         let confirmed_len;
         {
             let log = FileLogger::create(&path).unwrap();
@@ -1206,12 +1104,12 @@ mod tests {
         let outcome = read_log_file(&path).unwrap();
         assert!(outcome.is_clean());
         assert_eq!(outcome.records, vec![record(1, 2)]);
-        let _ = std::fs::remove_file(&path);
     }
 
-    /// Satellite regression: the streaming reader must agree byte-for-byte
-    /// with the in-memory decoder, for every truncation point, with a chunk
-    /// size small enough that every frame straddles chunk boundaries.
+    /// The frame decoder's result does not depend on its chunk size: chunks
+    /// small enough that every frame straddles a boundary agree
+    /// byte-for-byte with one whole-buffer chunk (`read_log_bytes`), for
+    /// every truncation point.
     #[test]
     fn streaming_reader_matches_in_memory_reader_at_every_cut() {
         let records = vec![record(7, 3), mixed_record(9), record(11, 2), record(13, 0)];
@@ -1263,8 +1161,8 @@ mod tests {
         assert_eq!(outcome.valid_bytes, bytes.len() as u64);
     }
 
-    /// Streaming corruption reporting is offset-identical to the in-memory
-    /// reader, even when the corrupt frame sits past several chunks.
+    /// Corruption is reported at the same offset whatever the chunk size,
+    /// even when the corrupt frame sits past several chunks.
     #[test]
     fn streaming_reader_reports_corruption_at_the_same_offset() {
         let records = vec![record(7, 2), record(9, 1), mixed_record(11)];
@@ -1284,8 +1182,8 @@ mod tests {
     /// offsets, which is what checkpoint tail replay relies on.
     #[test]
     fn read_log_file_from_resumes_mid_file() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-from-test-{}.bin", std::process::id()));
+        let dir = TempDir::new("log-from");
+        let path = dir.join("log.bin");
         let records = vec![record(7, 2), mixed_record(9), record(11, 1)];
         let mut bytes = Vec::new();
         let mut boundaries = vec![0u64];
@@ -1300,15 +1198,14 @@ mod tests {
             assert_eq!(outcome.valid_bytes, bytes.len() as u64);
             assert!(outcome.is_clean());
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Satellite regression: `open_append` cuts the torn tail first, so
     /// continuing the log after a crash never buries garbage mid-stream.
     #[test]
     fn open_append_truncates_the_torn_tail_and_continues_the_stream() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-reopen-test-{}.bin", std::process::id()));
+        let dir = TempDir::new("log-reopen");
+        let path = dir.join("log.bin");
         {
             let log = FileLogger::create(&path).unwrap();
             log.append(record(1, 2));
@@ -1329,7 +1226,6 @@ mod tests {
         let outcome = read_log_file(&path).unwrap();
         assert!(outcome.is_clean());
         assert_eq!(outcome.records, vec![record(1, 2), record(3, 1)]);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -100,16 +100,9 @@ struct Msg {
     op: Op,
 }
 
-/// Worker count the engines use when the caller does not pick one:
-/// `MMDB_RECOVERY_WORKERS` if set, otherwise the machine's available
+/// Worker count the engines recover with: the machine's available
 /// parallelism capped at 8 (the load turns I/O-bound past that).
 pub fn default_workers() -> usize {
-    if let Some(n) = std::env::var("MMDB_RECOVERY_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -302,24 +295,13 @@ mod tests {
     use super::*;
     use crate::checkpoint::CheckpointStore;
     use crate::log::{encode_frame_into, LogOpRef, Lsn, RedoLogger};
-    use std::fs;
+    use crate::scratch::TempDir;
     use std::sync::Mutex;
 
     fn append(store: &CheckpointStore, end_ts: Timestamp, ops: &[LogOpRef<'_>]) {
         let mut frame = Vec::new();
         encode_frame_into(&mut frame, end_ts, ops.iter().copied());
         store.logger().append_frame(&frame);
-    }
-
-    fn scratch_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "mmdb-recovery-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     fn row(key: u64, payload: u8) -> Row {
@@ -335,8 +317,8 @@ mod tests {
     /// Build a dir holding: base {t0: k1,k2; t1: k1}, delta {t0: -k2, +k3;
     /// t1: k1 updated}, log tail {t0: +k4, t1: -k1} plus one pre-image
     /// record that must be filtered out.
-    fn build_chain_dir(tag: &str) -> std::path::PathBuf {
-        let dir = scratch_dir(tag);
+    fn build_chain_dir(tag: &str) -> TempDir {
+        let dir = TempDir::new(&format!("recovery-{tag}"));
         let store = CheckpointStore::create(&dir).unwrap();
         let t0 = TableId(0);
         let t1 = TableId(1);
@@ -364,7 +346,7 @@ mod tests {
         delta.write_delete(t0, 2).unwrap();
         delta.write_row(t0, &row(3, 0x1d)).unwrap();
         delta.write_row(t1, &row(1, 0x2c)).unwrap();
-        store.install_delta(delta.finish().unwrap()).unwrap();
+        store.install_checkpoint(delta.finish().unwrap()).unwrap();
         store.truncate_log().unwrap();
 
         append(
@@ -417,7 +399,54 @@ mod tests {
                 (TableId(1), vec![]),
             ]
         );
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bare_log_is_a_plan_with_an_empty_chain() {
+        let dir = TempDir::new("recovery-bare-log");
+        let path = dir.join("wal.log");
+        let mut bytes = Vec::new();
+        encode_frame_into(
+            &mut bytes,
+            Timestamp(7),
+            [LogOpRef::Write {
+                table: TableId(0),
+                row: &row(1, 0xa),
+            }]
+            .into_iter(),
+        );
+        encode_frame_into(
+            &mut bytes,
+            Timestamp(5),
+            [LogOpRef::Write {
+                table: TableId(0),
+                row: &row(1, 0xb),
+            }]
+            .into_iter(),
+        );
+        // A torn third frame: only its first bytes reached the file.
+        let clean = bytes.len() as u64;
+        bytes.extend_from_slice(&[9, 0, 0]);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let plan = RecoveryPlan::for_log(&path);
+        assert!(plan.chain.is_empty());
+        assert_eq!(plan.log_tail_offset(), 0);
+        let applied: Mutex<Vec<(TableId, Vec<Row>)>> = Mutex::new(Vec::new());
+        let image = recover_partitioned(&plan, 2, &key_of, &|table, rows| {
+            applied.lock().unwrap().push((table, rows));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(image.image_ts, Timestamp::ZERO);
+        assert_eq!(image.max_end_ts, Timestamp(7));
+        assert_eq!(image.tail_records, 2);
+        assert_eq!((image.valid_bytes, image.torn_bytes), (clean, 3));
+        // End-timestamp order, not file order: the ts-7 write wins.
+        assert_eq!(
+            applied.into_inner().unwrap(),
+            vec![(TableId(0), vec![row(1, 0xa)])]
+        );
     }
 
     #[test]
@@ -429,7 +458,6 @@ mod tests {
             assert_eq!(image, serial_image, "{workers} workers");
             assert_eq!(rows, serial_rows, "{workers} workers");
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -444,7 +472,6 @@ mod tests {
             matches!(err, MmdbError::CheckpointInvalid { .. }),
             "{err:?}"
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -459,6 +486,5 @@ mod tests {
             matches!(err, MmdbError::Internal("apply refused")),
             "{err:?}"
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -31,11 +31,6 @@ pub struct MvStore {
     txns: TxnTable,
     gc: GcQueue,
     logger: Arc<dyn RedoLogger>,
-    /// When set, committing transactions skip the redo-log append. Only
-    /// recovery replay uses this: replayed records drive ordinary
-    /// transactions, and re-appending them to the very log being replayed
-    /// would duplicate every tail record.
-    log_suppressed: std::sync::atomic::AtomicBool,
     stats: EngineStats,
 }
 
@@ -54,7 +49,6 @@ impl MvStore {
             txns: TxnTable::new(),
             gc: GcQueue::new(),
             logger,
-            log_suppressed: std::sync::atomic::AtomicBool::new(false),
             stats: EngineStats::new(),
         }
     }
@@ -87,21 +81,6 @@ impl MvStore {
     #[inline]
     pub fn gc_queue(&self) -> &GcQueue {
         &self.gc
-    }
-
-    /// Is redo logging currently suppressed (recovery replay in progress)?
-    #[inline]
-    pub fn log_suppressed(&self) -> bool {
-        self.log_suppressed
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Suppress (or re-enable) redo logging. Recovery replay wraps its
-    /// transactions in a suppressed window so replaying a log tail into an
-    /// engine attached to that same log does not re-append every record.
-    pub fn set_log_suppressed(&self, suppressed: bool) {
-        self.log_suppressed
-            .store(suppressed, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Create a table. Publication is a single atomic swap of the catalog

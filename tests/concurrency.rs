@@ -485,3 +485,89 @@ fn deadlock_detector_breaks_bucket_lock_cycles() {
         "cycles should be broken by the detector well before the wait timeout (took {elapsed:?})"
     );
 }
+
+#[test]
+fn latest_version_reads_never_miss_a_present_key() {
+    // Read-committed reads (and MV/L's locking reads) use the latest
+    // committed version. If a reader's read time equals the end timestamp a
+    // concurrent writer is about to draw, the writer's new version is not
+    // yet committed and the version it replaces has already ended at the
+    // read time, so a key that is always present reads as absent and an
+    // update of it reports no row. Three threads hammer 16 always-present
+    // keys with read-then-update transactions; every read must find its row
+    // and every update must replace one. Conflicts and aborts are fine.
+    const KEYS: u64 = 16;
+    const THREADS: u64 = 3;
+    const BUDGET: Duration = Duration::from_millis(400);
+
+    let cases = [
+        (
+            MvEngine::optimistic(MvConfig::default()),
+            IsolationLevel::ReadCommitted,
+        ),
+        (
+            MvEngine::adaptive(MvConfig::default()),
+            IsolationLevel::ReadCommitted,
+        ),
+        (
+            MvEngine::pessimistic(MvConfig::default()),
+            IsolationLevel::ReadCommitted,
+        ),
+        (
+            MvEngine::pessimistic(MvConfig::default()),
+            IsolationLevel::Serializable,
+        ),
+    ];
+    for (engine, isolation) in cases {
+        let label = format!("{} {isolation:?}", engine.label());
+        let table = engine.create_table(TableSpec::keyed_u64("t", 64)).unwrap();
+        engine
+            .populate(table, (0..KEYS).map(|k| rowbuf::keyed_row(k, FILLER, 0)))
+            .unwrap();
+        let missed_reads = AtomicU64::new(0);
+        let missed_updates = AtomicU64::new(0);
+        let committed = AtomicU64::new(0);
+        let deadline = std::time::Instant::now() + BUDGET;
+        std::thread::scope(|scope| {
+            for worker in 0..THREADS {
+                let engine = &engine;
+                let (missed_reads, missed_updates, committed) =
+                    (&missed_reads, &missed_updates, &committed);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(worker);
+                    while std::time::Instant::now() < deadline {
+                        let key = rng.gen_range(0..KEYS);
+                        let mut txn = engine.begin(isolation);
+                        let result: Result<()> = (|| {
+                            if txn.read(table, IndexId(0), key)?.is_none() {
+                                missed_reads.fetch_add(1, Ordering::Relaxed);
+                                return Ok(());
+                            }
+                            let row = rowbuf::keyed_row(key, FILLER, rng.gen());
+                            if !txn.update(table, IndexId(0), key, row)? {
+                                missed_updates.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Ok(())
+                        })();
+                        match result {
+                            Ok(()) => {
+                                if txn.commit().is_ok() {
+                                    committed.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                            Err(_) => txn.abort(),
+                        }
+                    }
+                });
+            }
+        });
+        let (reads, updates) = (missed_reads.into_inner(), missed_updates.into_inner());
+        assert_eq!(
+            (reads, updates),
+            (0, 0),
+            "{label}: {reads} reads of a present key returned None and {updates} \
+             updates of one returned false"
+        );
+        assert!(committed.into_inner() > 0, "{label}: nothing committed");
+    }
+}

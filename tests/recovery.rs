@@ -10,15 +10,17 @@
 //!    a [`FileLogger`];
 //! 2. "crash" by truncating the log bytes at randomized offsets — including
 //!    offsets in the middle of a record frame;
-//! 3. recover into a fresh engine via `recover_bytes` and assert the
+//! 3. write the surviving bytes to a file, recover a fresh engine from it
+//!    through a bare-log `RecoveryPlan` (the same partitioned bulk load a
+//!    checkpoint restart uses, with an empty chain) and assert the
 //!    recovered state equals the committed prefix the surviving log records
 //!    describe, with **every** index (primary and secondary) consistent with
 //!    a full scan.
 //!
 //! The oracle for a crash at offset X is computed from the decoded surviving
 //! records themselves (sorted by end timestamp, after-images upserted,
-//! deletes applied) — the engine's replay must drive its real transaction,
-//! index-maintenance and uniqueness machinery to the same state.
+//! deletes applied) — the engine's bulk load must rebuild every index to
+//! the same state.
 //!
 //! Failures print a grep-able `MMDB-REPRO:` line with the seed and crash
 //! offset and save the history + log bytes under `target/test-artifacts/`.
@@ -26,7 +28,7 @@
 mod support;
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,6 +45,7 @@ use mmdb_storage::log::{
     read_log_bytes, read_log_file_from, FileLogger, LogOp, LogRecord, MemoryLogger, RecoveryReport,
     RedoLogger,
 };
+use mmdb_storage::scratch::TempDir;
 use support::{
     assert_indexes_consistent, create_diff_tables, dump, generate_history, populate,
     run_concurrent, run_sequential, with_repro_artifacts, HistoryParams, TxnRecord,
@@ -147,11 +150,13 @@ impl EngineBox {
         }
     }
 
-    fn recover_bytes(&self, bytes: &[u8]) -> Result<RecoveryReport> {
-        match self {
-            EngineBox::Mv(e) => e.recover_bytes(bytes),
-            EngineBox::Sv(e) => e.recover_bytes(bytes),
-        }
+    /// Recover from the bytes of a bare redo log: write them to a scratch
+    /// file and load it through a plan with an empty chain.
+    fn recover_log(&self, bytes: &[u8]) -> Result<RecoveryReport> {
+        let dir = TempDir::new("recovery-bytes");
+        let path = dir.join("wal.log");
+        std::fs::write(&path, bytes).expect("write log file");
+        self.recover_from_checkpoint(&RecoveryPlan::for_log(&path))
     }
 
     fn assert_indexes_consistent(&self, label: &str, tables: &[TableId]) {
@@ -207,11 +212,6 @@ fn log_oracle(records: &[LogRecord], tables: &[TableId]) -> Vec<BTreeMap<u64, u8
     state
 }
 
-/// Fresh scratch log path (the workload side of each test writes here).
-fn scratch_log(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("mmdb-recovery-{}-{tag}.log", std::process::id()))
-}
-
 /// What [`logged_concurrent_run`] yields: the log bytes, the source
 /// engine's final state, its table ids and a debug dump of the history.
 struct LoggedRun {
@@ -223,14 +223,14 @@ struct LoggedRun {
 
 /// Run a seeded concurrent history on a file-logged engine of `kind`.
 fn logged_concurrent_run(kind: Kind, seed: u64) -> LoggedRun {
-    let path = scratch_log(&format!("{}-{seed:x}", kind.label().replace('/', "_")));
+    let dir = TempDir::new("recovery-run");
+    let path = dir.join("wal.log");
     let logger = Arc::new(FileLogger::create(&path).expect("create log file"));
     logged_concurrent_run_on(kind, seed, &path, logger)
 }
 
 /// Run a seeded concurrent history on an engine of `kind` wired to an
-/// arbitrary file-backed logger (the log file at `path` is read back and
-/// removed afterwards).
+/// arbitrary file-backed logger (the log file at `path` is read back).
 fn logged_concurrent_run_on(
     kind: Kind,
     seed: u64,
@@ -256,7 +256,6 @@ fn logged_concurrent_run_on(
     logger.flush().expect("flush log");
     let bytes = std::fs::read(path).expect("read log file");
     let final_state = engine.dump(&tables);
-    let _ = std::fs::remove_file(path);
     LoggedRun {
         bytes,
         final_state,
@@ -325,7 +324,7 @@ fn crash_at_any_offset_recovers_the_committed_prefix() {
                         (&log_name, &bytes),
                     ],
                     || {
-                        let report = target.recover_bytes(truncated).unwrap_or_else(|e| {
+                        let report = target.recover_log(truncated).unwrap_or_else(|e| {
                             panic!(
                                 "[{} seed={seed:#x} crash_offset={offset}] recovery failed: {e}",
                                 kind.label()
@@ -377,7 +376,7 @@ fn full_log_recovery_reconstructs_the_final_committed_state() {
 
             let target = EngineBox::new(kind, Arc::new(mmdb_storage::log::NullLogger::new()));
             let tables = target.create_tables();
-            let report = target.recover_bytes(&bytes).expect("recovery succeeds");
+            let report = target.recover_log(&bytes).expect("recovery succeeds");
             assert_eq!(report.records_applied, outcome.records.len());
             assert_eq!(report.torn_bytes, 0);
 
@@ -412,7 +411,7 @@ fn recovery_is_cross_engine() {
         for kind in ALL_KINDS {
             let target = EngineBox::new(kind, Arc::new(mmdb_storage::log::NullLogger::new()));
             let tables = target.create_tables();
-            target.recover_bytes(bytes).expect("cross-engine recovery");
+            target.recover_log(bytes).expect("cross-engine recovery");
             let label = format!("{source_label}-log → {} seed={seed:#x}", kind.label());
             assert_eq!(
                 &target.dump(&tables),
@@ -435,7 +434,7 @@ fn recovered_engine_accepts_new_transactions() {
         } = logged_concurrent_run(kind, seed);
         let target = EngineBox::new(kind, Arc::new(mmdb_storage::log::NullLogger::new()));
         let tables = target.create_tables();
-        target.recover_bytes(&bytes).expect("recovery succeeds");
+        target.recover_log(&bytes).expect("recovery succeeds");
 
         let (engine_label, fresh_key) = (kind.label(), DUMP_BOUND + 7);
         match &target {
@@ -479,29 +478,25 @@ fn post_recovery_smoke<E: Engine>(
 }
 
 #[test]
-fn recover_file_reads_the_log_from_disk() {
+fn bare_log_plan_reads_the_log_from_disk() {
     let seed = seeds()[0];
     for kind in [Kind::Mvo, Kind::Sv] {
         let LoggedRun {
             bytes, final_state, ..
         } = logged_concurrent_run(kind, seed);
-        let path = scratch_log(&format!("from-disk-{}", kind.label().replace('/', "_")));
+        let dir = TempDir::new("recovery-from-disk");
+        let path = dir.join("wal.log");
         std::fs::write(&path, &bytes).expect("write log file");
 
         let target = EngineBox::new(kind, Arc::new(mmdb_storage::log::NullLogger::new()));
         let tables = target.create_tables();
-        let (report, missing) = match &target {
-            EngineBox::Mv(e) => (
-                e.recover_file(&path).expect("recover from file"),
-                e.recover_file("/nonexistent/mmdb-no-such.log"),
-            ),
-            EngineBox::Sv(e) => (
-                e.recover_file(&path).expect("recover from file"),
-                e.recover_file("/nonexistent/mmdb-no-such.log"),
-            ),
-        };
-        let _ = std::fs::remove_file(&path);
+        let report = target
+            .recover_from_checkpoint(&RecoveryPlan::for_log(&path))
+            .expect("recover from file");
+        let missing =
+            target.recover_from_checkpoint(&RecoveryPlan::for_log("/nonexistent/mmdb-no-such.log"));
         assert_eq!(report.torn_bytes, 0);
+        assert_eq!(report.valid_bytes, bytes.len() as u64);
         assert_eq!(
             target.dump(&tables),
             final_state,
@@ -542,10 +537,8 @@ fn file_and_memory_loggers_agree_byte_for_byte() {
     // engines, two loggers, identical frames.
     for kind in ALL_KINDS {
         for seed in seeds() {
-            let path = scratch_log(&format!(
-                "bytes-{}-{seed:x}",
-                kind.label().replace('/', "_")
-            ));
+            let dir = TempDir::new("recovery-bytes-parity");
+            let path = dir.join("wal.log");
             let file_logger = Arc::new(FileLogger::create(&path).expect("create log file"));
             let memory_logger = Arc::new(MemoryLogger::new());
 
@@ -564,7 +557,6 @@ fn file_and_memory_loggers_agree_byte_for_byte() {
             file_logger.flush().expect("flush log");
 
             let file_bytes = std::fs::read(&path).expect("read log file");
-            let _ = std::fs::remove_file(&path);
             assert_eq!(
                 file_bytes,
                 memory_logger.encoded_bytes(),
@@ -602,7 +594,8 @@ fn group_commit_crash_mid_batch_recovers_the_committed_prefix() {
     // per-transaction FileLogger stream.
     for kind in ALL_KINDS {
         for seed in seeds() {
-            let path = scratch_log(&format!("gc-{}-{seed:x}", kind.label().replace('/', "_")));
+            let dir = TempDir::new("recovery-gc");
+            let path = dir.join("wal.log");
             let logger = Arc::new(
                 GroupCommitLog::with_tick(&path, std::time::Duration::from_micros(BATCH_TICK_US))
                     .expect("create group-commit log"),
@@ -653,7 +646,7 @@ fn group_commit_crash_mid_batch_recovers_the_committed_prefix() {
                         (&log_name, &bytes),
                     ],
                     || {
-                        let report = target.recover_bytes(truncated).unwrap_or_else(|e| {
+                        let report = target.recover_log(truncated).unwrap_or_else(|e| {
                             panic!(
                                 "[{} seed={seed:#x} crash_offset={offset} \
                                  batch_tick_us={BATCH_TICK_US}] recovery failed: {e}",
@@ -721,10 +714,8 @@ fn smallbank_group_commit_crash_recovers_conserved_balances() {
                 hot_fraction: 0.5,
                 isolation: IsolationLevel::SnapshotIsolation,
             };
-            let path = scratch_log(&format!(
-                "sb-gc-{}-{seed:x}",
-                kind.label().replace('/', "_")
-            ));
+            let dir = TempDir::new("recovery-sb-gc");
+            let path = dir.join("wal.log");
             let logger = Arc::new(
                 GroupCommitLog::with_tick(&path, Duration::from_micros(BATCH_TICK_US))
                     .expect("create group-commit log"),
@@ -768,7 +759,6 @@ fn smallbank_group_commit_crash_recovers_conserved_balances() {
             });
             logger.flush().expect("flush log");
             let bytes = std::fs::read(&path).expect("read log file");
-            let _ = std::fs::remove_file(&path);
             drop(engine);
 
             let committed = committed.into_inner();
@@ -854,7 +844,7 @@ fn smallbank_group_commit_crash_recovers_conserved_balances() {
                     ),
                     &[(&log_name, &bytes)],
                     || {
-                        let report = target.recover_bytes(truncated).unwrap_or_else(|e| {
+                        let report = target.recover_log(truncated).unwrap_or_else(|e| {
                             panic!(
                                 "[{} seed={seed:#x} crash_offset={offset}] recovery failed: {e}",
                                 kind.label()
@@ -914,8 +904,9 @@ fn group_commit_and_file_loggers_agree_byte_for_byte() {
     // GroupCommitLog's shared buffer and hardened in batches.
     for kind in ALL_KINDS {
         let seed = seeds()[0];
-        let file_path = scratch_log(&format!("parity-file-{}", kind.label().replace('/', "_")));
-        let gc_path = scratch_log(&format!("parity-gc-{}", kind.label().replace('/', "_")));
+        let dir = TempDir::new("recovery-parity");
+        let file_path = dir.join("file.log");
+        let gc_path = dir.join("gc.log");
         let file_logger = Arc::new(FileLogger::create(&file_path).expect("create log file"));
         let gc_logger = Arc::new(GroupCommitLog::create(&gc_path).expect("create gc log"));
 
@@ -936,8 +927,6 @@ fn group_commit_and_file_loggers_agree_byte_for_byte() {
 
         let file_bytes = std::fs::read(&file_path).expect("read file log");
         let gc_bytes = std::fs::read(&gc_path).expect("read gc log");
-        let _ = std::fs::remove_file(&file_path);
-        let _ = std::fs::remove_file(&gc_path);
         assert_eq!(
             file_bytes,
             gc_bytes,
@@ -953,7 +942,8 @@ fn sync_commits_survive_a_crash_that_drops_only_unflushed_async_tails() {
     // disk the moment commit() returns, so a crash immediately afterwards
     // (simulated by reading the file *without* any final flush) can lose at
     // most the Async commits that followed the last hardened batch.
-    let path = scratch_log("sync-survives");
+    let dir = TempDir::new("recovery-sync");
+    let path = dir.join("wal.log");
     let logger = Arc::new(GroupCommitLog::create(&path).expect("create gc log"));
     let engine = MvEngine::with_logger(
         MvConfig::optimistic().with_deadlock_detector(false),
@@ -1018,7 +1008,6 @@ fn sync_commits_survive_a_crash_that_drops_only_unflushed_async_tails() {
     );
     drop(engine);
     drop(logger);
-    let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,11 +1026,9 @@ fn sync_commits_survive_a_crash_that_drops_only_unflushed_async_tails() {
 //    recover to exactly the same committed state.
 // ---------------------------------------------------------------------------
 
-/// Fresh scratch directory for a [`CheckpointStore`].
-fn scratch_store_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mmdb-ckpt-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// Fresh scratch directory for a [`CheckpointStore`], removed on drop.
+fn scratch_store_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("ckpt-{tag}"))
 }
 
 /// An in-memory image of a store directory: (file name, file bytes), sorted.
@@ -1293,8 +1280,6 @@ fn checkpoint_concurrent_with_writers_then_tail_crash_recovers() {
                     },
                 );
             }
-            let _ = std::fs::remove_dir_all(&dir);
-            let _ = std::fs::remove_dir_all(&crash_dir);
         }
     }
 }
@@ -1445,8 +1430,6 @@ fn crash_anywhere_inside_the_checkpoint_protocol_preserves_committed_state() {
             );
             target.assert_indexes_consistent(&full_label, &t);
         }
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&crash_dir);
     }
 }
 
@@ -1495,9 +1478,18 @@ fn crash_recover_continue_recover_round_trip_through_the_store() {
         let engine2 = EngineBox::new(kind, store2.logger().clone());
         let t2 = engine2.create_tables();
         assert_eq!(t2, tables, "reopened engine re-creates the same table ids");
+        // The engine is attached to the log it recovers from: recovery is a
+        // bulk load and must never re-append the tail it replays.
+        let appended_before = store2.logger().appended_lsn();
         let report = engine2
             .recover_from_checkpoint(&plan)
             .expect("recover life 2");
+        assert_eq!(
+            store2.logger().appended_lsn(),
+            appended_before,
+            "[{}] recovery appended to the log it replayed",
+            kind.label()
+        );
         assert_eq!(report.records_applied, outcome.records.len());
         assert_eq!(report.torn_bytes, 0, "open already cut the torn tail");
         assert_eq!(report.valid_bytes, probe.valid_bytes);
@@ -1547,7 +1539,6 @@ fn crash_recover_continue_recover_round_trip_through_the_store() {
             "[{label}] restart diverges from the pre-crash state"
         );
         target.assert_indexes_consistent(&label, &t3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -1628,7 +1619,6 @@ fn checkpoint_policy_drives_automatic_log_truncation() {
          live engine's final state"
     );
     assert_indexes_consistent("auto-checkpoint restart", &target, &t, DUMP_BOUND);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -1640,7 +1630,8 @@ fn mid_run_crash_snapshots_recover_at_least_the_durable_watermark() {
     // the capture, and recovery from it must rebuild a consistent database.
     for kind in ALL_KINDS {
         let seed = seeds()[0] ^ 0x5EED;
-        let path = scratch_log(&format!("faultinj-{}", kind.label().replace('/', "_")));
+        let dir = TempDir::new("recovery-faultinj");
+        let path = dir.join("wal.log");
         let logger = Arc::new(
             GroupCommitLog::with_tick(&path, Duration::from_micros(BATCH_TICK_US))
                 .expect("create gc log"),
@@ -1649,16 +1640,34 @@ fn mid_run_crash_snapshots_recover_at_least_the_durable_watermark() {
         let tables = engine.create_tables();
         engine.populate(&tables);
 
-        let parts = worker_parts(seed);
+        // The run pauses once, halfway, until a capture is taken: a short
+        // run on a loaded host can otherwise finish before the capture loop
+        // first looks, leaving no mid-run image at all.
+        let mut first_half = worker_parts(seed);
+        let second_half: Vec<_> = first_half
+            .iter_mut()
+            .map(|part| part.split_off(part.len() / 2))
+            .collect();
+        let halfway = std::sync::Barrier::new(2);
         let mut snapshots: Vec<(u64, Vec<u8>)> = Vec::new();
+        let capture = |snapshots: &mut Vec<(u64, Vec<u8>)>| {
+            let durable_before = logger.durable_lsn().0;
+            let bytes = std::fs::read(&path).expect("read live log");
+            snapshots.push((durable_before, bytes));
+        };
         std::thread::scope(|scope| {
-            let engine_ref = &engine;
-            let tables_ref = &tables;
-            let handle = scope.spawn(move || engine_ref.run_concurrent(tables_ref, parts));
+            let (engine_ref, tables_ref, halfway_ref) = (&engine, &tables, &halfway);
+            let handle = scope.spawn(move || {
+                engine_ref.run_concurrent(tables_ref, first_half);
+                halfway_ref.wait();
+                halfway_ref.wait();
+                engine_ref.run_concurrent(tables_ref, second_half);
+            });
+            halfway.wait();
+            capture(&mut snapshots);
+            halfway.wait();
             while !handle.is_finished() {
-                let durable_before = logger.durable_lsn().0;
-                let bytes = std::fs::read(&path).expect("read live log");
-                snapshots.push((durable_before, bytes));
+                capture(&mut snapshots);
                 std::thread::sleep(Duration::from_micros(BATCH_TICK_US / 4));
             }
         });
@@ -1689,7 +1698,7 @@ fn mid_run_crash_snapshots_recover_at_least_the_durable_watermark() {
             let target = EngineBox::new(kind, Arc::new(mmdb_storage::log::NullLogger::new()));
             let t = target.create_tables();
             let report = target
-                .recover_bytes(bytes)
+                .recover_log(bytes)
                 .unwrap_or_else(|e| panic!("[{} snapshot={i}] recovery failed: {e}", kind.label()));
             assert_eq!(report.records_applied, outcome.records.len());
             let label = format!("{} fault-injection snapshot {i}", kind.label());
@@ -1702,7 +1711,6 @@ fn mid_run_crash_snapshots_recover_at_least_the_durable_watermark() {
         }
         drop(engine);
         drop(logger);
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -1898,7 +1906,6 @@ fn delta_checkpoints_skip_clean_tables_and_carry_tombstones() {
             "[{label}] chain + tail recovery diverges from the live state"
         );
         target.assert_indexes_consistent(&format!("{label} delta-skip"), &t);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -1963,7 +1970,6 @@ fn checkpoint_auto_compacts_a_full_chain() {
             kind.label()
         );
         target.assert_indexes_consistent(&format!("{} auto-compact", kind.label()), &t);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -2074,8 +2080,6 @@ fn delta_chain_tail_crash_at_any_offset_recovers() {
                 );
                 target.assert_indexes_consistent(&label, &t);
             }
-            let _ = std::fs::remove_dir_all(&dir);
-            let _ = std::fs::remove_dir_all(&crash_dir);
         }
     }
 }
@@ -2217,8 +2221,6 @@ fn crash_anywhere_inside_the_delta_protocol_preserves_committed_state() {
             );
             target.assert_indexes_consistent(&full_label, &t);
         }
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&crash_dir);
     }
 }
 
@@ -2379,8 +2381,6 @@ fn crash_mid_compaction_leaves_stale_chain_files_recovery_ignores() {
             );
             target.assert_indexes_consistent(&full_label, &t);
         }
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&crash_dir);
     }
 }
 
@@ -2551,7 +2551,5 @@ fn mid_run_store_crash_images_with_delta_chain_recover_consistently() {
              {skipped} skipped)",
             kind.label()
         );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&crash_dir);
     }
 }
