@@ -661,15 +661,25 @@ fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
 /// * the 1V point read for comparison (lock-coupled, inherently allocating);
 /// * the transaction-table lookup both ways (`get` clones an `Arc`,
 ///   `get_in` borrows under an epoch guard) — the per-version visibility
-///   cost of §2.5.
+///   cost of §2.5;
+/// * the primitives under every read: a tagged `Begin`/`End` word round
+///   trip (§2.3, §4.1.1), `check_visibility` on a committed version (§2.5)
+///   and `GlobalClock::next_timestamp` (one per begin and commit);
+/// * a 10-read MV/L transaction at read committed and at serializable,
+///   where every equality probe also takes a bucket lock (§4.1.2).
 pub fn readpath_perf(cfg: &ExpConfig) -> SeriesTable {
+    use mmdb_common::clock::GlobalClock;
     use mmdb_common::engine::EngineTxn as _;
-    use mmdb_common::ids::{IndexId, TxnId};
+    use mmdb_common::ids::{IndexId, Timestamp, TxnId};
     use mmdb_common::row::rowbuf;
+    use mmdb_common::word::{BeginWord, EndWord, LockWord};
+    use mmdb_core::{check_visibility, MvConfig, MvEngine};
+    use mmdb_onev::{SvConfig, SvEngine};
+    use mmdb_storage::version::Version;
 
-    use crate::readpath::{
-        registered_txn_table, warmed_mv_engine, warmed_sv_engine, GROUP_SIZE, GROUP_STRIDE,
-        KEY_STRIDE, TXN_TABLE_ENTRIES,
+    use crate::fixture::{
+        grouped_spec, registered_txn_table, warmed, GROUP_SIZE, GROUP_STRIDE, KEY_STRIDE,
+        TXN_TABLE_ENTRIES,
     };
 
     let rows = cfg.rows.clamp(8_192, 262_144);
@@ -689,7 +699,11 @@ pub fn readpath_perf(cfg: &ExpConfig) -> SeriesTable {
     };
 
     // --- MV/O ---
-    let (engine, t) = warmed_mv_engine(rows);
+    let (engine, t) = warmed(
+        MvEngine::optimistic(MvConfig::default()),
+        grouped_spec(rows),
+        rows,
+    );
     let mut txn = engine.begin(IsolationLevel::ReadCommitted);
     let mut key = 0u64;
     let read_mat = ns_per_op(read_iters, || {
@@ -720,7 +734,8 @@ pub fn readpath_perf(cfg: &ExpConfig) -> SeriesTable {
     txn.abort();
 
     // --- 1V ---
-    let (sv, t1) = warmed_sv_engine(rows, cfg.lock_timeout);
+    let sv = SvEngine::new(SvConfig::default().with_lock_timeout(cfg.lock_timeout));
+    let (sv, t1) = warmed(sv, grouped_spec(rows), rows);
     let mut txn = sv.begin(IsolationLevel::ReadCommitted);
     let mut key = 0u64;
     let sv_read_vis = ns_per_op(read_iters, || {
@@ -745,7 +760,60 @@ pub fn readpath_perf(cfg: &ExpConfig) -> SeriesTable {
         id = id % TXN_TABLE_ENTRIES + 1;
         std::hint::black_box(txns.get_in(TxnId(id), &guard).expect("registered").id());
     });
+
+    // --- Primitives ---
+    let mut ts = 0u64;
+    let begin_word = ns_per_op(lookup_iters, || {
+        ts += 1;
+        let word = BeginWord::Timestamp(Timestamp(ts));
+        std::hint::black_box(BeginWord::decode(std::hint::black_box(word.encode())));
+    });
+    let lock = EndWord::Lock(LockWord {
+        no_more_read_locks: false,
+        read_lock_count: 3,
+        writer: Some(TxnId(77)),
+    });
+    let end_word = ns_per_op(lookup_iters, || {
+        std::hint::black_box(EndWord::decode(std::hint::black_box(lock).encode()));
+    });
+    let committed = Version::new_committed(Timestamp(10), rowbuf::keyed_row(1, 16, 0), &[1]);
+    let visibility = ns_per_op(lookup_iters, || {
+        std::hint::black_box(check_visibility(
+            &committed,
+            Timestamp(50),
+            TxnId(9),
+            &txns,
+            &guard,
+        ));
+    });
     drop(guard);
+    let clock = GlobalClock::new();
+    let next_timestamp = ns_per_op(lookup_iters, || {
+        std::hint::black_box(clock.next_timestamp());
+    });
+
+    // --- MV/L bucket locks ---
+    let (mvl, t) = warmed(
+        MvEngine::pessimistic(MvConfig::default()),
+        grouped_spec(rows),
+        rows,
+    );
+    let mvl_read_txn = |isolation| {
+        let mut key = 0u64;
+        ns_per_op(scan_iters, || {
+            let mut txn = mvl.begin(isolation);
+            for _ in 0..10 {
+                key = (key.wrapping_add(KEY_STRIDE)) % rows;
+                txn.read_with(t, IndexId(0), key, &mut |row| {
+                    std::hint::black_box(rowbuf::key_of(row));
+                })
+                .expect("read_with");
+            }
+            txn.commit().expect("commit");
+        })
+    };
+    let mvl_rc = mvl_read_txn(IsolationLevel::ReadCommitted);
+    let mvl_ser = mvl_read_txn(IsolationLevel::Serializable);
 
     for (label, value) in [
         ("MV/O point read (materializing `read`)", read_mat),
@@ -755,6 +823,12 @@ pub fn readpath_perf(cfg: &ExpConfig) -> SeriesTable {
         ("1V point read (visitor `read_with`)", sv_read_vis),
         ("TxnTable lookup (`get`, Arc clone)", get_arc),
         ("TxnTable lookup (`get_in`, guard borrow)", get_borrow),
+        ("BeginWord encode+decode", begin_word),
+        ("EndWord lock-word encode+decode", end_word),
+        ("check_visibility (committed version)", visibility),
+        ("GlobalClock::next_timestamp", next_timestamp),
+        ("MV/L 10-read txn (RC, no bucket locks)", mvl_rc),
+        ("MV/L 10-read txn (serializable, bucket locks)", mvl_ser),
     ] {
         table.rows.push((label.to_string(), vec![value]));
     }
@@ -780,10 +854,10 @@ pub fn rangescan_perf(cfg: &ExpConfig) -> SeriesTable {
     use mmdb_common::engine::EngineTxn as _;
     use mmdb_common::isolation::ConcurrencyMode;
     use mmdb_common::row::rowbuf;
+    use mmdb_core::{CcPolicy, MvConfig, MvEngine};
+    use mmdb_onev::{SvConfig, SvEngine};
 
-    use crate::readpath::{
-        warmed_ordered_mv_engine, warmed_ordered_sv_engine, KEY_STRIDE, ORDERED_INDEX,
-    };
+    use crate::fixture::{ordered_grouped_spec, warmed, KEY_STRIDE, ORDERED_INDEX};
 
     let rows = cfg.rows.clamp(8_192, 262_144);
     let scan_iters = (cfg.duration.as_millis() as u64 * 40).clamp(4_000, 80_000);
@@ -800,7 +874,11 @@ pub fn rangescan_perf(cfg: &ExpConfig) -> SeriesTable {
         unit: "nanoseconds per operation".into(),
     };
 
-    let (engine, t) = warmed_ordered_mv_engine(ConcurrencyMode::Optimistic, rows);
+    let warmed_mv = |mode| {
+        let engine = MvEngine::new(MvConfig::default().with_cc(CcPolicy::Static(mode)));
+        warmed(engine, ordered_grouped_spec(rows), rows)
+    };
+    let (engine, t) = warmed_mv(ConcurrencyMode::Optimistic);
     let mut txn = engine.begin(IsolationLevel::ReadCommitted);
     let scan_span = |txn: &mut mmdb_core::MvTransaction, key: &mut u64, span: u64| {
         *key = (key.wrapping_add(KEY_STRIDE)) % (rows - span);
@@ -827,7 +905,7 @@ pub fn rangescan_perf(cfg: &ExpConfig) -> SeriesTable {
     txn.abort();
 
     let mv_ser_txn = |mode: ConcurrencyMode| {
-        let (engine, t) = warmed_ordered_mv_engine(mode, rows);
+        let (engine, t) = warmed_mv(mode);
         let mut key = 0u64;
         ns_per_op(txn_iters, || {
             key = (key.wrapping_add(KEY_STRIDE)) % (rows - 8);
@@ -844,7 +922,8 @@ pub fn rangescan_perf(cfg: &ExpConfig) -> SeriesTable {
     let mvo_ser = mv_ser_txn(ConcurrencyMode::Optimistic);
     let mvl_ser = mv_ser_txn(ConcurrencyMode::Pessimistic);
 
-    let (sv, t1) = warmed_ordered_sv_engine(rows, cfg.lock_timeout);
+    let sv = SvEngine::new(SvConfig::default().with_lock_timeout(cfg.lock_timeout));
+    let (sv, t1) = warmed(sv, ordered_grouped_spec(rows), rows);
     let mut txn = sv.begin(IsolationLevel::ReadCommitted);
     let mut key = 0u64;
     let sv_scan = ns_per_op(sv_iters, || {
@@ -887,7 +966,10 @@ pub fn writepath_perf(cfg: &ExpConfig) -> SeriesTable {
     use mmdb_common::ids::IndexId;
     use mmdb_common::isolation::ConcurrencyMode;
 
-    use crate::writepath::{grouped_row, warmed_mv_engine_with, warmed_sv_engine, KEY_STRIDE};
+    use mmdb_core::{CcPolicy, MvConfig, MvEngine};
+    use mmdb_onev::{SvConfig, SvEngine};
+
+    use crate::fixture::{grouped_row, grouped_spec, warmed, KEY_STRIDE};
 
     let rows = cfg.rows.clamp(8_192, 262_144);
     // A whole write transaction is ~two orders of magnitude more work than a
@@ -902,8 +984,14 @@ pub fn writepath_perf(cfg: &ExpConfig) -> SeriesTable {
         unit: "nanoseconds per committed write transaction".into(),
     };
 
+    // Cooperative GC on, per the default configuration, so steady-state
+    // update chains stay short exactly as they would in production.
+    let warmed_mv = |mode| {
+        let engine = MvEngine::new(MvConfig::default().with_cc(CcPolicy::Static(mode)));
+        warmed(engine, grouped_spec(rows), rows)
+    };
     let mv_update = |mode: ConcurrencyMode| {
-        let (engine, t) = warmed_mv_engine_with(mode, rows);
+        let (engine, t) = warmed_mv(mode);
         let mut key = 0u64;
         ns_per_op(txn_iters, || {
             key = (key.wrapping_add(KEY_STRIDE)) % rows;
@@ -922,7 +1010,7 @@ pub fn writepath_perf(cfg: &ExpConfig) -> SeriesTable {
     // next — steady-state version churn straight through the GC queue. The
     // loop commits two transactions, so halve the measured time to report
     // it in the table's per-transaction unit.
-    let (engine, t) = warmed_mv_engine_with(ConcurrencyMode::Optimistic, rows);
+    let (engine, t) = warmed_mv(ConcurrencyMode::Optimistic);
     let mut k = 0u64;
     let mvo_insert_delete = ns_per_op(txn_iters / 2, || {
         k += 1;
@@ -935,7 +1023,8 @@ pub fn writepath_perf(cfg: &ExpConfig) -> SeriesTable {
         txn.commit().expect("delete commit");
     }) / 2.0;
 
-    let (sv, t1) = warmed_sv_engine(rows, cfg.lock_timeout);
+    let sv = SvEngine::new(SvConfig::default().with_lock_timeout(cfg.lock_timeout));
+    let (sv, t1) = warmed(sv, grouped_spec(rows), rows);
     let mut key = 0u64;
     let sv_update = ns_per_op(txn_iters, || {
         key = (key.wrapping_add(KEY_STRIDE)) % rows;
@@ -949,7 +1038,7 @@ pub fn writepath_perf(cfg: &ExpConfig) -> SeriesTable {
     // The per-operation table-lookup cost (every read/scan/write resolves
     // its table): the epoch-published catalog both ways — `table` clones an
     // `Arc`, `table_in` borrows under an epoch guard (the hot-path variant).
-    let (engine, t) = warmed_mv_engine_with(ConcurrencyMode::Optimistic, rows);
+    let (engine, t) = warmed_mv(ConcurrencyMode::Optimistic);
     let lookup_iters = txn_iters * 50;
     let catalog_arc = ns_per_op(lookup_iters, || {
         std::hint::black_box(engine.store().table(t).expect("published").id());
@@ -1521,7 +1610,7 @@ mod tests {
     fn readpath_perf_reports_every_series() {
         let t = readpath_perf(&tiny());
         assert_eq!(t.xs, vec!["ns/op".to_string()]);
-        assert_eq!(t.rows.len(), 7);
+        assert_eq!(t.rows.len(), 13);
         for (label, series) in &t.rows {
             assert_eq!(series.len(), 1);
             assert!(

@@ -46,21 +46,30 @@ pub trait EngineTxn: Send {
     fn insert(&mut self, table: TableId, row: Row) -> Result<()>;
 
     /// Point lookup through an index: returns the (at most one, for unique
-    /// indexes) visible row with the given key.
-    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>>;
+    /// indexes) visible row with the given key. Clones through
+    /// [`EngineTxn::read_with`].
+    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
+        let mut out = None;
+        self.read_with(table, index, key, &mut |row| out = Some(row.clone()))?;
+        Ok(out)
+    }
 
     /// Equality scan through an index: returns every visible row whose index
-    /// key equals `key` (non-unique indexes may return several).
-    fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>>;
+    /// key equals `key` (non-unique indexes may return several). Clones
+    /// through [`EngineTxn::scan_key_with`].
+    fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.scan_key_with(table, index, key, &mut |row| rows.push(row.clone()))?;
+        Ok(rows)
+    }
 
     /// Visitor-style point lookup: invoke `visit` on the visible row with the
     /// given key (at most once) without materializing it. Returns whether a
     /// row was found.
     ///
-    /// This is the allocation-free read path: engines override it to hand the
-    /// caller a borrow of the stored payload instead of building an
-    /// `Option<Row>`. The default implementation delegates to [`EngineTxn::read`]
-    /// for engines that have not opted in.
+    /// This is the allocation-free read path every engine implements: the
+    /// caller gets a borrow of the stored payload instead of an
+    /// `Option<Row>`.
     ///
     /// **The visitor must not call back into the engine** (no reads, writes
     /// or transaction control from inside `visit`): engines are free to run
@@ -74,37 +83,22 @@ pub trait EngineTxn: Send {
         index: IndexId,
         key: Key,
         visit: &mut dyn FnMut(&Row),
-    ) -> Result<bool> {
-        match self.read(table, index, key)? {
-            Some(row) => {
-                visit(&row);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
+    ) -> Result<bool>;
 
     /// Visitor-style equality scan: invoke `visit` on every visible row whose
     /// index key equals `key`, in index-chain order, without materializing a
     /// `Vec`. Returns the number of rows visited.
     ///
-    /// Like [`EngineTxn::read_with`], this is the allocation-free path;
-    /// engines override it, and the default delegates to
-    /// [`EngineTxn::scan_key`]. The same reentrancy rule applies: the
-    /// visitor must not call back into the engine.
+    /// Like [`EngineTxn::read_with`], this is the allocation-free path, and
+    /// the same reentrancy rule applies: the visitor must not call back into
+    /// the engine.
     fn scan_key_with(
         &mut self,
         table: TableId,
         index: IndexId,
         key: Key,
         visit: &mut dyn FnMut(&Row),
-    ) -> Result<usize> {
-        let rows = self.scan_key(table, index, key)?;
-        for row in &rows {
-            visit(row);
-        }
-        Ok(rows.len())
-    }
+    ) -> Result<usize>;
 
     /// Range scan through an *ordered* index: returns every visible row whose
     /// index key falls in the inclusive range `[lo, hi]`, in ascending key
@@ -325,16 +319,37 @@ mod tests {
             }
             Ok(())
         }
-        fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
-            Ok(self.scan_key(table, index, key)?.into_iter().next())
+        fn read_with(
+            &mut self,
+            table: TableId,
+            index: IndexId,
+            key: Key,
+            visit: &mut dyn FnMut(&Row),
+        ) -> Result<bool> {
+            let mut found = false;
+            self.scan_key_with(table, index, key, &mut |row| {
+                if !found {
+                    found = true;
+                    visit(row);
+                }
+            })?;
+            Ok(found)
         }
-        fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
+        fn scan_key_with(
+            &mut self,
+            table: TableId,
+            index: IndexId,
+            key: Key,
+            visit: &mut dyn FnMut(&Row),
+        ) -> Result<usize> {
             let g = self.inner.lock().unwrap();
             let (_, data) = g
                 .tables
                 .get(table.0 as usize)
                 .ok_or(MmdbError::TableNotFound(table))?;
-            Ok(data.get(&(index.0, key)).cloned().unwrap_or_default())
+            let rows = data.get(&(index.0, key)).map_or(&[][..], Vec::as_slice);
+            rows.iter().for_each(visit);
+            Ok(rows.len())
         }
         fn scan_range_with(
             &mut self,
@@ -457,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn default_visitor_reads_delegate_to_materializing_reads() {
+    fn default_materializing_reads_clone_through_visitors() {
         let engine = TrivialEngine::new();
         let spec = TableSpec::keyed_u64("t", 16).with_index(crate::row::IndexSpec {
             name: "fill".into(),
@@ -471,27 +486,15 @@ mod tests {
         txn.insert(t, rowbuf::keyed_row(1, 16, 0xAA)).unwrap();
         txn.insert(t, rowbuf::keyed_row(2, 16, 0xAA)).unwrap();
 
-        let mut seen = None;
-        assert!(txn
-            .read_with(t, IndexId(0), 1, &mut |row| seen =
-                Some(rowbuf::key_of(row)))
-            .unwrap());
-        assert_eq!(seen, Some(1));
-        assert!(!txn
-            .read_with(t, IndexId(0), 99, &mut |_| panic!("no row to visit"))
-            .unwrap());
+        let row = txn.read(t, IndexId(0), 1).unwrap();
+        assert_eq!(row.map(|r| rowbuf::key_of(&r)), Some(1));
+        assert_eq!(txn.read(t, IndexId(0), 99).unwrap(), None);
 
-        let mut keys = Vec::new();
-        let n = txn
-            .scan_key_with(
-                t,
-                IndexId(1),
-                crate::hash::hash_bytes(&[0xAA]),
-                &mut |row| keys.push(rowbuf::key_of(row)),
-            )
+        let rows = txn
+            .scan_key(t, IndexId(1), crate::hash::hash_bytes(&[0xAA]))
             .unwrap();
+        let mut keys: Vec<u64> = rows.iter().map(|r| rowbuf::key_of(r)).collect();
         keys.sort_unstable();
-        assert_eq!(n, 2);
         assert_eq!(keys, vec![1, 2]);
         txn.commit().unwrap();
     }

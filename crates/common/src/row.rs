@@ -259,9 +259,9 @@ pub mod rowbuf {
 
     /// Build a 24-byte row `[pk: u64][group: u64][8 filler bytes]`, where
     /// `group` buckets [`GROUP_SIZE`] consecutive keys. This is the shared
-    /// read-path fixture: the `repro perf` experiment, the `readpath`
-    /// criterion bench and the zero-allocation regression test all measure
-    /// exactly this shape, so it lives here once.
+    /// read-path fixture: the `repro perf` experiment and the
+    /// zero-allocation regression test both measure exactly this shape, so
+    /// it lives here once.
     pub fn grouped_row(key: u64) -> Row {
         let mut bytes = Vec::with_capacity(24);
         bytes.extend_from_slice(&key.to_le_bytes());

@@ -17,8 +17,8 @@
 //! field contains a transaction ID"), so both schemes share one encoding and
 //! optimistic and pessimistic transactions can coexist (§4.5).
 //!
-//! All encodings round-trip losslessly; this is checked by unit tests and a
-//! proptest in this module.
+//! All encodings round-trip losslessly; this is checked by unit tests and
+//! seeded property loops in this module.
 
 use crate::ids::{Timestamp, TxnId, INFINITY_TS, MAX_TXN_ID};
 
@@ -320,7 +320,6 @@ pub mod raw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn begin_word_roundtrip_timestamp() {
@@ -564,40 +563,62 @@ mod tests {
         assert_eq!(relocked.writer, Some(TxnId(11)));
     }
 
-    proptest! {
-        #[test]
-        fn prop_begin_roundtrip(ts in 0u64..INFINITY_TS.0, id in 0u64..=MAX_TXN_ID) {
-            let t = BeginWord::Timestamp(Timestamp(ts));
-            prop_assert_eq!(BeginWord::decode(t.encode()), t);
-            let x = BeginWord::Txn(TxnId(id));
-            prop_assert_eq!(BeginWord::decode(x.encode()), x);
-        }
+    /// Seeded property loops: draw `k` of case `case` is
+    /// `mix64(SEED ^ (case << 8) ^ k)` (SplitMix64 over a counter), so a
+    /// failure names the case and seed that replay it.
+    const SEED: u64 = 0x5EED_3017;
+    const CASES: u64 = 256;
 
-        #[test]
-        fn prop_end_roundtrip(
-            ts in 0u64..INFINITY_TS.0,
-            nomore in any::<bool>(),
-            count in 0u8..=u8::MAX,
-            writer in prop::option::of(0u64..=MAX_TXN_ID),
-        ) {
-            let t = EndWord::Timestamp(Timestamp(ts));
-            prop_assert_eq!(EndWord::decode(t.encode()), t);
-            let lock = LockWord { no_more_read_locks: nomore, read_lock_count: count, writer: writer.map(TxnId) };
-            let w = EndWord::Lock(lock);
-            prop_assert_eq!(EndWord::decode(w.encode()), w);
-        }
+    fn draws(case: u64) -> impl Fn(u64) -> u64 {
+        move |k| crate::hash::mix64(SEED ^ (case << 8) ^ k)
+    }
 
-        #[test]
-        fn prop_reader_increment_never_touches_other_fields(
-            nomore in any::<bool>(),
-            count in 0u8..u8::MAX,
-            writer in prop::option::of(0u64..=MAX_TXN_ID),
-        ) {
-            let lock = LockWord { no_more_read_locks: nomore, read_lock_count: count, writer: writer.map(TxnId) };
-            let bumped = lock.with_extra_reader().unwrap();
-            prop_assert_eq!(bumped.no_more_read_locks, nomore);
-            prop_assert_eq!(bumped.writer, writer.map(TxnId));
-            prop_assert_eq!(bumped.read_lock_count, count + 1);
+    /// A txn id in `0..=MAX_TXN_ID`, or `None` one time in four.
+    fn writer(r: &impl Fn(u64) -> u64) -> Option<TxnId> {
+        (!r(8).is_multiple_of(4)).then(|| TxnId(r(9) % (MAX_TXN_ID + 1)))
+    }
+
+    #[test]
+    fn prop_begin_roundtrip() {
+        for case in 0..CASES {
+            let r = draws(case);
+            let t = BeginWord::Timestamp(Timestamp(r(0) % INFINITY_TS.0));
+            let x = BeginWord::Txn(TxnId(r(1) % (MAX_TXN_ID + 1)));
+            let got = (BeginWord::decode(t.encode()), BeginWord::decode(x.encode()));
+            assert_eq!(got, (t, x), "case {case} (seed {SEED:#x})");
+        }
+    }
+
+    #[test]
+    fn prop_end_roundtrip() {
+        for case in 0..CASES {
+            let r = draws(case);
+            let t = EndWord::Timestamp(Timestamp(r(0) % INFINITY_TS.0));
+            let w = EndWord::Lock(LockWord {
+                no_more_read_locks: r(1) & 1 == 1,
+                read_lock_count: r(2) as u8,
+                writer: writer(&r),
+            });
+            let got = (EndWord::decode(t.encode()), EndWord::decode(w.encode()));
+            assert_eq!(got, (t, w), "case {case} (seed {SEED:#x})");
+        }
+    }
+
+    #[test]
+    fn prop_reader_increment_never_touches_other_fields() {
+        for case in 0..CASES {
+            let r = draws(case);
+            let lock = LockWord {
+                no_more_read_locks: r(1) & 1 == 1,
+                read_lock_count: (r(2) % u8::MAX as u64) as u8,
+                writer: writer(&r),
+            };
+            let bumped = LockWord {
+                read_lock_count: lock.read_lock_count + 1,
+                ..lock
+            };
+            let got = lock.with_extra_reader();
+            assert_eq!(got, Some(bumped), "case {case} (seed {SEED:#x})");
         }
     }
 }

@@ -1247,18 +1247,6 @@ impl EngineTxn for MvTransaction {
         result
     }
 
-    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
-        let mut out = None;
-        self.scan_visible_with(table, index, key, true, &mut |row| out = Some(row.clone()))?;
-        Ok(out)
-    }
-
-    fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        self.scan_visible_with(table, index, key, false, &mut |row| out.push(row.clone()))?;
-        Ok(out)
-    }
-
     fn read_with(
         &mut self,
         table: TableId,

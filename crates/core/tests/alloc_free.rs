@@ -94,9 +94,8 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
 const ROWS: u64 = 1_024;
 
 /// The shared read-path fixture (`rowbuf::grouped_row` / `grouped_spec`,
-/// also used by `mmdb-bench`'s `repro perf` experiment and `readpath`
-/// bench): this test asserts zero allocations for exactly the shape those
-/// measurements run.
+/// also used by `mmdb-bench`'s `repro perf` experiment): this test asserts
+/// zero allocations for exactly the shape those measurements run.
 use mmdb_common::row::rowbuf::{grouped_row, grouped_spec, GROUP_SIZE};
 
 fn warmed_mv_engine() -> (MvEngine, mmdb_common::ids::TableId) {
@@ -115,7 +114,7 @@ fn warmed_mv_engine() -> (MvEngine, mmdb_common::ids::TableId) {
     (engine, table)
 }
 
-/// The acceptance criterion of the allocation-free read path: after one
+/// The acceptance bar of the allocation-free read path: after one
 /// warm-up operation (which sizes the scratch buffer), point reads and short
 /// scans perform zero heap allocations at read committed and snapshot
 /// isolation.
@@ -286,7 +285,7 @@ fn drain_into_pool(engine: &MvEngine, table: mmdb_common::ids::TableId, want: us
 const WARM_TXNS: u64 = 1_000;
 const MEASURED_TXNS: u64 = 400;
 
-/// The write-path acceptance criterion: a warmed single-row update
+/// The write-path acceptance bar: a warmed single-row update
 /// transaction — the whole begin → update → commit — performs **zero** heap
 /// allocations at read committed and snapshot isolation on both MV schemes.
 /// Also asserts the single-transaction shape explicitly (one measured
@@ -433,7 +432,7 @@ fn ordered_index_keeps_equality_paths_allocation_free() {
 
         let isolation = IsolationLevel::SnapshotIsolation;
 
-        // Equality reads and short hash scans: identical criterion to the
+        // Equality reads and short hash scans: identical bar to the
         // hash-only fixture, now with the ordered index present.
         let mut txn = engine.begin(isolation);
         let mut checksum = 0u64;
@@ -531,7 +530,7 @@ fn ordered_index_keeps_equality_paths_allocation_free() {
     }
 }
 
-/// The adaptive-policy acceptance criterion: consulting the contention
+/// The adaptive-policy acceptance bar: consulting the contention
 /// monitor at `begin()` and recording outcomes at commit are relaxed atomic
 /// reads and writes on fixed slots — switching the engine to
 /// `CcPolicy::Adaptive` must not put a single allocation back on the hot
@@ -597,7 +596,7 @@ fn adaptive_policy_keeps_hot_paths_allocation_free() {
          (checksum {checksum})"
     );
 
-    // Write path: same criterion as the static-mode fixture — the adaptive
+    // Write path: same bar as the static-mode fixture — the adaptive
     // begin() consultation, the touched-table note and the commit-side
     // telemetry record must all ride on recycled capacity.
     for i in 0..WARM_TXNS {
@@ -657,7 +656,7 @@ fn onev_update_txns_allocate_by_design() {
     );
 }
 
-/// The group-commit acceptance criterion for the async path: warmed update
+/// The group-commit acceptance bar for the async path: warmed update
 /// transactions stay allocation-free when the engine logs through a
 /// `GroupCommitLog` — the commit frames its write set into the transaction's
 /// reusable encode buffer and `append_frame_ticketed` copies it into the

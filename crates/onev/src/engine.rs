@@ -45,10 +45,6 @@ pub struct SvConfig {
     /// for log I/O, matching the paper's setup). Individual transactions
     /// override it via [`SvTransaction::set_durability`].
     pub durability: Durability,
-    /// When checkpoints should be taken (consulted by whoever drives
-    /// maintenance through `CheckpointStore::checkpoint_due`; the default is
-    /// manual-only). [`SvEngine::checkpoint`] is an explicit entry point.
-    pub checkpoint: CheckpointPolicy,
 }
 
 impl Default for SvConfig {
@@ -56,7 +52,6 @@ impl Default for SvConfig {
         SvConfig {
             lock_timeout: Duration::from_millis(500),
             durability: Durability::Async,
-            checkpoint: CheckpointPolicy::MANUAL,
         }
     }
 }
@@ -71,12 +66,6 @@ impl SvConfig {
     /// Builder-style override of the default commit durability.
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
-        self
-    }
-
-    /// Builder-style override of the checkpoint policy.
-    pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = policy;
         self
     }
 }
@@ -710,22 +699,6 @@ impl EngineTxn for SvTransaction {
         keys.clear();
         self.keys = keys;
         result
-    }
-
-    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
-        let mut out = None;
-        self.scan_key_core(table, index, key, &mut |row| {
-            if out.is_none() {
-                out = Some(row.clone());
-            }
-        })?;
-        Ok(out)
-    }
-
-    fn scan_key(&mut self, table_id: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        self.scan_key_core(table_id, index, key, &mut |row| out.push(row.clone()))?;
-        Ok(out)
     }
 
     fn read_with(

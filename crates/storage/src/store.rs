@@ -360,7 +360,7 @@ mod tests {
         assert_eq!(store.table_in(t2, &guard).unwrap().id(), t2);
     }
 
-    /// Acceptance criterion of the lock-free catalog: `create_table` racing
+    /// Acceptance bar of the lock-free catalog: `create_table` racing
     /// readers must never make an already-published table unreachable, and
     /// readers never block (they run under nothing but an epoch pin).
     #[test]

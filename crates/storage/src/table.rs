@@ -354,9 +354,9 @@ impl Table {
     }
 
     /// Extract the key of `row` under every index of this table (index
-    /// order). Thin test/compat wrapper over [`Table::keys_into`] — it
-    /// allocates a fresh `Vec` per call, which is exactly what the hot write
-    /// path avoids.
+    /// order) into a fresh `Vec` — the bulk-load path
+    /// ([`Table::make_committed_version`]); the hot write path reuses a
+    /// scratch through [`Table::keys_into`] instead.
     pub fn keys_of(&self, row: &[u8]) -> Result<Vec<Key>> {
         let mut scratch = KeyScratch::new();
         self.keys_into(row, &mut scratch)?;
@@ -420,18 +420,6 @@ impl Table {
         } else {
             Ok(Owned::new(Version::new(creator, row, keys)))
         }
-    }
-
-    /// Allocate a version for `row` (keys extracted per the spec). Compat
-    /// wrapper over [`Table::make_version_with`] for callers without a key
-    /// scratch.
-    pub fn make_version(
-        &self,
-        creator: mmdb_common::ids::TxnId,
-        row: Row,
-    ) -> Result<Owned<Version>> {
-        let keys = self.keys_of(&row)?;
-        self.make_version_with(creator, row, &keys)
     }
 
     /// Allocate an already-committed version for `row` (bulk loading).
@@ -801,7 +789,7 @@ mod tests {
         let guard = epoch::pin();
         let ptr = table.link_version(
             table
-                .make_version(TxnId(1), rowbuf::keyed_row(1, 16, 0))
+                .make_version_with(TxnId(1), rowbuf::keyed_row(1, 16, 0), &[1])
                 .unwrap(),
             &guard,
         );
@@ -826,6 +814,5 @@ mod tests {
             table.keys_of(&short),
             Err(MmdbError::RowTooShort { .. })
         ));
-        assert!(table.make_version(TxnId(1), short).is_err());
     }
 }

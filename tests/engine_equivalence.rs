@@ -1,4 +1,6 @@
-//! Property-based cross-engine tests.
+//! Property-based cross-engine tests, run as seeded loops: case `i` of a
+//! property draws its inputs from `StdRng::seed_from_u64(SEED + i)`, and a
+//! failing case prints its index and seed.
 //!
 //! * Applied sequentially (no concurrency), the three engines must produce
 //!   identical results for any sequence of operations — multiversioning and
@@ -10,7 +12,8 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use mmdb::prelude::*;
 
@@ -32,21 +35,48 @@ struct TxnScript {
     commit: bool,
 }
 
-fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..key_space).prop_map(Op::Read),
-        ((0..key_space), any::<u8>()).prop_map(|(k, v)| Op::Update(k, v.max(1))),
-        ((key_space..key_space * 2), any::<u8>()).prop_map(|(k, v)| Op::Insert(k, v.max(1))),
-        (0..key_space * 2).prop_map(Op::Delete),
-    ]
+fn gen_op(rng: &mut StdRng) -> Op {
+    match rng.gen_range(0..4u32) {
+        0 => Op::Read(rng.gen_range(0..KEY_SPACE)),
+        1 => Op::Update(rng.gen_range(0..KEY_SPACE), rng.gen::<u8>().max(1)),
+        2 => Op::Insert(
+            rng.gen_range(KEY_SPACE..KEY_SPACE * 2),
+            rng.gen::<u8>().max(1),
+        ),
+        _ => Op::Delete(rng.gen_range(0..KEY_SPACE * 2)),
+    }
 }
 
-fn txn_strategy(key_space: u64) -> impl Strategy<Value = TxnScript> {
-    (
-        proptest::collection::vec(op_strategy(key_space), 1..8),
-        any::<bool>(),
-    )
-        .prop_map(|(ops, commit)| TxnScript { ops, commit })
+fn gen_txn(rng: &mut StdRng) -> TxnScript {
+    let len = rng.gen_range(1..8usize);
+    let ops = (0..len).map(|_| gen_op(rng)).collect();
+    TxnScript {
+        ops,
+        commit: rng.gen(),
+    }
+}
+
+/// `1..max_len` (exclusive) generated transactions.
+fn gen_scripts(rng: &mut StdRng, max_len: usize) -> Vec<TxnScript> {
+    let len = rng.gen_range(1..max_len);
+    (0..len).map(|_| gen_txn(rng)).collect()
+}
+
+const SEED: u64 = 0xE0E0_0001;
+const CASES: u64 = 48;
+
+/// Run `property` on `CASES` seeded cases, naming the case and seed of the
+/// first one that fails.
+fn seeded_cases(mut property: impl FnMut(&mut StdRng)) {
+    for case in 0..CASES {
+        let seed = SEED + case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&mut rng)));
+        if let Err(panic) = run {
+            eprintln!("property failed at case {case} (seed {seed:#x})");
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 /// Apply a script to an engine sequentially; returns the reads it performed.
@@ -163,13 +193,12 @@ fn fresh_sv() -> (SvEngine, TableId) {
     (engine, t)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Sequential execution: all three engines agree with each other and with
-    /// the HashMap model, both on the reads performed and on the final state.
-    #[test]
-    fn engines_agree_sequentially(scripts in proptest::collection::vec(txn_strategy(KEY_SPACE), 1..12)) {
+/// Sequential execution: all three engines agree with each other and with
+/// the HashMap model, both on the reads performed and on the final state.
+#[test]
+fn engines_agree_sequentially() {
+    seeded_cases(|rng| {
+        let scripts = gen_scripts(rng, 12);
         let (mvo, t_mvo) = fresh_mv(ConcurrencyMode::Optimistic);
         let (mvl, t_mvl) = fresh_mv(ConcurrencyMode::Pessimistic);
         let (sv, t_sv) = fresh_sv();
@@ -177,18 +206,21 @@ proptest! {
         let reads_mvo = apply(&mvo, t_mvo, &scripts);
         let reads_mvl = apply(&mvl, t_mvl, &scripts);
         let reads_sv = apply(&sv, t_sv, &scripts);
-        prop_assert_eq!(&reads_mvo, &reads_mvl);
-        prop_assert_eq!(&reads_mvo, &reads_sv);
+        assert_eq!(reads_mvo, reads_mvl);
+        assert_eq!(reads_mvo, reads_sv);
 
         let expected = model(&scripts, INITIAL_ROWS);
-        prop_assert_eq!(&dump(&mvo, t_mvo, KEY_SPACE * 2), &expected);
-        prop_assert_eq!(&dump(&mvl, t_mvl, KEY_SPACE * 2), &expected);
-        prop_assert_eq!(&dump(&sv, t_sv, KEY_SPACE * 2), &expected);
-    }
+        assert_eq!(dump(&mvo, t_mvo, KEY_SPACE * 2), expected);
+        assert_eq!(dump(&mvl, t_mvl, KEY_SPACE * 2), expected);
+        assert_eq!(dump(&sv, t_sv, KEY_SPACE * 2), expected);
+    });
+}
 
-    /// Garbage collection never changes what queries see.
-    #[test]
-    fn gc_preserves_visible_state(scripts in proptest::collection::vec(txn_strategy(KEY_SPACE), 1..10)) {
+/// Garbage collection never changes what queries see.
+#[test]
+fn gc_preserves_visible_state() {
+    seeded_cases(|rng| {
+        let scripts = gen_scripts(rng, 10);
         let (engine, table) = fresh_mv(ConcurrencyMode::Optimistic);
         apply(&engine, table, &scripts);
         let before = dump(&engine, table, KEY_SPACE * 2);
@@ -202,19 +234,28 @@ proptest! {
             }
         }
         let after = dump(&engine, table, KEY_SPACE * 2);
-        prop_assert_eq!(before, after, "GC changed query results (reclaimed {} versions)", total);
-    }
+        assert_eq!(
+            before, after,
+            "GC changed query results (reclaimed {total} versions)"
+        );
+    });
+}
 
-    /// Aborted transactions leave no trace, regardless of what they did.
-    #[test]
-    fn aborted_transactions_are_invisible(script in txn_strategy(KEY_SPACE)) {
+/// Aborted transactions leave no trace, regardless of what they did.
+#[test]
+fn aborted_transactions_are_invisible() {
+    seeded_cases(|rng| {
+        let script = gen_txn(rng);
         for mode in [ConcurrencyMode::Optimistic, ConcurrencyMode::Pessimistic] {
             let (engine, table) = fresh_mv(mode);
             let before = dump(&engine, table, KEY_SPACE * 2);
-            let aborted = TxnScript { ops: script.ops.clone(), commit: false };
+            let aborted = TxnScript {
+                ops: script.ops.clone(),
+                commit: false,
+            };
             apply(&engine, table, std::slice::from_ref(&aborted));
             let after = dump(&engine, table, KEY_SPACE * 2);
-            prop_assert_eq!(before, after);
+            assert_eq!(before, after);
         }
-    }
+    });
 }
