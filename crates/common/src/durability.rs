@@ -40,15 +40,17 @@ impl Durability {
 }
 
 /// When the engine should take a checkpoint (and truncate the redo log to
-/// the checkpoint LSN). The policy itself is passive — the engines expose a
-/// `checkpoint()` entry point and consult the policy via
-/// [`CheckpointPolicy::due`]; whoever drives maintenance (a server loop, a
-/// bench harness, an operator) decides when to ask.
+/// the checkpoint LSN), and how long a delta chain may grow. The policy
+/// itself is passive — each engine exposes one entry point,
+/// `checkpoint_auto(store, policy)`, which reads
+/// [`max_chain`](Self::max_chain) to choose between a delta and a full
+/// image; whoever drives maintenance (a server loop, a bench harness, an
+/// operator) consults [`CheckpointPolicy::due`] to decide when to call it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint once the redo log has grown this many bytes past the last
     /// checkpoint's LSN. `None` means manual-only: checkpoints happen only
-    /// when `checkpoint()` is called explicitly.
+    /// when `checkpoint_auto` is called explicitly.
     pub log_bytes: Option<u64>,
     /// Maximum length of the checkpoint chain (base image + delta images).
     /// `1` means every checkpoint rewrites a full base image (the classic

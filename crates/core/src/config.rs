@@ -81,12 +81,13 @@ pub struct MvConfig {
     /// log I/O). Individual transactions override it via
     /// [`MvTransaction::set_durability`](crate::txn::MvTransaction::set_durability).
     pub durability: Durability,
-    /// When checkpoints should be taken (the policy is consulted by whoever
-    /// drives maintenance through
-    /// `CheckpointStore::checkpoint_due`; the default is
-    /// manual-only). The engine itself never checkpoints spontaneously —
-    /// [`MvEngine::checkpoint`](crate::engine::MvEngine::checkpoint) is an
-    /// explicit entry point.
+    /// When checkpoints should be taken, and how long a delta chain may grow
+    /// (the default is manual-only, full images). The explicit entry point
+    /// is [`MvEngine::checkpoint_auto`](crate::engine::MvEngine::checkpoint_auto);
+    /// only an engine built by
+    /// [`MvEngine::with_checkpoint_store`](crate::engine::MvEngine::with_checkpoint_store)
+    /// under a non-manual policy calls it on its own, from a tick that
+    /// consults `CheckpointStore::checkpoint_due`.
     pub checkpoint: CheckpointPolicy,
 }
 

@@ -233,7 +233,7 @@ impl MvEngine {
     /// otherwise — automatically once the configured log growth accrues.
     /// Under
     /// [`CheckpointPolicy::MANUAL`](mmdb_common::durability::CheckpointPolicy::MANUAL)
-    /// no tick is spawned and `checkpoint()` remains an explicit call.
+    /// no tick is spawned and `checkpoint_auto` remains an explicit call.
     ///
     /// [`CheckpointStore::checkpoint_due`]: mmdb_storage::checkpoint::CheckpointStore::checkpoint_due
     pub fn with_checkpoint_store(
@@ -354,29 +354,96 @@ impl MvEngine {
         Ok(self.inner.store.table(table)?.version_count())
     }
 
-    /// Take a checkpoint into `store` and truncate the redo log below it.
+    /// Take whichever checkpoint `policy` calls for next into `store`, then
+    /// truncate the redo log below it. The image is a delta against the
+    /// parent snapshot `P` that [`CheckpointStore::next_parent`] picks: the
+    /// chain tip's snapshot while the chain has room under
+    /// `policy.max_chain`, otherwise [`Timestamp::ZERO`] — a full base image
+    /// (the first checkpoint, deltas disabled, or a compaction once the
+    /// chain is full). This is what the automatic tick spawned by
+    /// [`MvEngine::with_checkpoint_store`] runs.
     ///
     /// The engine must have been created with `store`'s group-commit log as
     /// its redo logger ([`MvEngine::with_logger`] of
     /// `CheckpointStore::logger`), so the checkpoint LSN and the engine's
     /// commit frames live on the same stream.
     ///
-    /// The image is a snapshot-isolation read of every table and **never
-    /// blocks writers**: the walk is an ordinary registered transaction, so
-    /// concurrent commits proceed (multiversioning gives the reader its own
-    /// stable view) and the GC watermark keeps the snapshot's versions
-    /// alive. Consistency with the log comes from ordering: the checkpoint
-    /// LSN is captured *before* the snapshot timestamp is drawn, and every
-    /// commit draws its end timestamp *before* appending its frame, so
-    /// every frame wholly below the LSN commits inside the snapshot.
-    /// Recovery replays the tail above the LSN, skipping records at or
-    /// below the snapshot timestamp.
-    pub fn checkpoint(
+    /// The image is a snapshot-isolation read and **never blocks writers**:
+    /// the walk is an ordinary registered transaction, so concurrent commits
+    /// proceed (multiversioning gives the reader its own stable view) and
+    /// the GC watermark keeps the snapshot's versions alive. Consistency
+    /// with the log comes from ordering: the checkpoint LSN is captured
+    /// *before* the snapshot timestamp `R` is drawn, and every commit draws
+    /// its end timestamp *before* appending its frame, so every frame wholly
+    /// below the LSN commits inside the snapshot. Recovery replays the tail
+    /// above the LSN, skipping records at or below `R`. Three more
+    /// mechanisms make the window `(P, R]` exact:
+    ///
+    /// * **Precommit quiescing.** After drawing `R` the walk waits for every
+    ///   registered transaction whose end timestamp is (or may still land)
+    ///   at or below `R` to finish postprocessing. Anything that draws its
+    ///   end timestamp afterwards necessarily lands above `R` (the clock is
+    ///   monotone) and belongs to the log tail. Quiescing also means every
+    ///   version the walk meets has its final begin/end words published, so
+    ///   "did it change after `P`?" is a plain timestamp comparison.
+    /// * **Dirty watermarks.** Every committing transaction raises each
+    ///   written table's watermark to its end timestamp *before* publishing
+    ///   `Committed`, so after quiescing a table whose watermark is still
+    ///   below `P` provably saw no commit in the window and contributes zero
+    ///   bytes.
+    /// * **Tombstones from two sources** (only when `P > ZERO`; nothing
+    ///   existed at ZERO to delete). A row deleted in the window has no
+    ///   visible version to write, so the walk harvests dead versions whose
+    ///   end timestamp falls in it — kept reachable by registering a GC pin
+    ///   at `P` for the walk's duration — and unions them with the `Delete`
+    ///   ops scanned from the log prefix below the captured LSN (which
+    ///   covers versions already reclaimed before the pin existed: a commit
+    ///   appends its frame before its garbage is enqueued, so any such
+    ///   version's frame sits wholly below the LSN). Tombstones for keys the
+    ///   image also writes are dropped. A base registers no pin (one at ZERO
+    ///   would stall all GC for the whole walk) and keeps no written-key set.
+    ///
+    /// [`CheckpointStore::next_parent`]: mmdb_storage::checkpoint::CheckpointStore::next_parent
+    /// [`Timestamp::ZERO`]: mmdb_common::ids::Timestamp::ZERO
+    pub fn checkpoint_auto(
         &self,
         store: &mmdb_storage::checkpoint::CheckpointStore,
+        policy: &mmdb_common::durability::CheckpointPolicy,
     ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
         use mmdb_common::engine::EngineTxn as _;
-        use mmdb_common::ids::IndexId;
+        use mmdb_common::ids::{IndexId, Timestamp};
+        use mmdb_common::word::{BeginWord, EndWord};
+
+        let parent = store.next_parent(policy);
+        let delta = parent > Timestamp::ZERO;
+        let mvstore = &self.inner.store;
+
+        // GC pin at the parent snapshot: keeps versions that died after `P`
+        // linked until the walk has harvested their tombstones. Registered
+        // like any transaction (under the pending-begin guard) and removed
+        // on every exit path by the drop guard.
+        struct GcPin<'a> {
+            txns: &'a mmdb_storage::txn_table::TxnTable,
+            id: mmdb_common::ids::TxnId,
+        }
+        impl Drop for GcPin<'_> {
+            fn drop(&mut self) {
+                self.txns.remove(self.id);
+            }
+        }
+        let _pin = delta.then(|| {
+            let txns = mvstore.txns();
+            let pending = txns.pending_begin();
+            let id = mvstore.clock().next_txn_id();
+            txns.register(TxnHandle::new(
+                id,
+                parent,
+                ConcurrencyMode::Optimistic,
+                IsolationLevel::SnapshotIsolation,
+            ));
+            drop(pending);
+            GcPin { txns, id }
+        });
 
         // Order matters (see above): log high-water mark first, snapshot
         // timestamp second.
@@ -387,8 +454,12 @@ impl MvEngine {
         );
         let read_ts = txn.begin_ts();
         let me = txn.me();
-        let mut writer = store.begin_checkpoint(ckpt_lsn, read_ts)?;
-        let mvstore = &self.inner.store;
+        self.quiesce_precommits(read_ts);
+        let mut writer = store.begin_image(parent, ckpt_lsn, read_ts)?;
+
+        let mut written: std::collections::HashSet<(TableId, u64)> =
+            std::collections::HashSet::new();
+        let mut tombstones: Vec<(TableId, u64)> = Vec::new();
         for idx in 0..mvstore.table_count() {
             let table_id = TableId(idx as u32);
             // One epoch pin per table: long enough to keep lookups cheap,
@@ -396,6 +467,13 @@ impl MvEngine {
             // walk.
             let guard = crossbeam::epoch::pin();
             let table = mvstore.table_in(table_id, &guard)?;
+            // Strictly below `P` means no commit touched the table in the
+            // window (the watermark was raised before any such commit
+            // published, and quiescing ordered those raises before this
+            // read): the whole table contributes nothing.
+            if table.dirty_ts() < parent {
+                continue;
+            }
             for version in table.scan_versions(IndexId(0), &guard)? {
                 loop {
                     let vis = crate::visibility::check_visibility(
@@ -414,7 +492,31 @@ impl MvEngine {
                         continue;
                     }
                     if vis.visible {
-                        writer.write_row(table_id, version.data())?;
+                        // Committed at or below `P` ⇒ already in the parent
+                        // image. An unpublished begin word can only belong
+                        // to a post-`R` writer's in-flight version (which is
+                        // never visible at `R`), but stay conservative: a
+                        // duplicate row costs bytes, not correctness.
+                        let include = match version.begin_word() {
+                            BeginWord::Timestamp(begin) => begin > parent,
+                            _ => true,
+                        };
+                        if include {
+                            writer.write_row(table_id, version.data())?;
+                            if delta {
+                                written.insert((table_id, version.index_key(0)));
+                            }
+                        }
+                    } else if delta {
+                        // A version that died inside the window and was not
+                        // superseded by a visible successor marks a delete;
+                        // supersessions are deduplicated against `written`
+                        // below.
+                        if let EndWord::Timestamp(end) = version.end_word() {
+                            if end > parent && end <= read_ts {
+                                tombstones.push((table_id, version.index_key(0)));
+                            }
+                        }
                     }
                     break;
                 }
@@ -423,193 +525,31 @@ impl MvEngine {
         // The walk is read-only; committing just deregisters the snapshot
         // (releasing the GC watermark).
         txn.commit()?;
-        let installed = store.install_checkpoint(writer.finish()?)?;
-        store.truncate_log()?;
-        Ok(installed)
-    }
 
-    /// Take a *delta* checkpoint into `store`: an image holding only the
-    /// rows and deletions whose commit timestamps moved past the previous
-    /// chain element's snapshot, appended to the chain instead of rewriting
-    /// the full database. Requires an installed chain
-    /// ([`MvEngine::checkpoint`] first).
-    ///
-    /// Like the base walk this never blocks writers. Three mechanisms make
-    /// the *incremental* part sound; `P` is the parent snapshot and `R` the
-    /// delta's own snapshot timestamp:
-    ///
-    /// * **Dirty watermarks.** Every committing transaction raises each
-    ///   written table's watermark to its end timestamp *before* publishing
-    ///   `Committed`, so after quiescing (below) a table whose watermark is
-    ///   still below `P` provably saw no commit in `(P, R]` and contributes
-    ///   zero bytes.
-    /// * **Precommit quiescing.** After drawing `R` the walk waits for every
-    ///   registered transaction whose end timestamp is (or may still land)
-    ///   at or below `R` to finish postprocessing. Anything that draws its
-    ///   end timestamp afterwards necessarily lands above `R` (the clock is
-    ///   monotone) and belongs to the log tail, not this delta. Quiescing
-    ///   also means every version the walk meets has its final begin/end
-    ///   words published, so "did it change after `P`?" is a plain
-    ///   timestamp comparison.
-    /// * **Tombstones from two sources.** A row deleted in `(P, R]` has no
-    ///   visible version to write, so the walk harvests dead versions whose
-    ///   end timestamp falls in the window — kept reachable by registering
-    ///   a GC pin at `P` for the walk's duration — and unions them with the
-    ///   `Delete` ops scanned from the log prefix below the captured LSN
-    ///   (which covers versions already reclaimed before the pin existed:
-    ///   a commit appends its frame before its garbage is enqueued, so any
-    ///   such version's frame sits wholly below the LSN). Tombstones for
-    ///   keys the delta also writes are dropped.
-    pub fn checkpoint_delta(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        use mmdb_common::engine::EngineTxn as _;
-        use mmdb_common::ids::IndexId;
-        use mmdb_common::word::{BeginWord, EndWord};
-
-        let parent =
-            store
-                .last_checkpoint()
-                .ok_or(mmdb_common::error::MmdbError::CheckpointInvalid {
-                    reason: "no checkpoint installed to delta against",
-                })?;
-        let parent_ts = parent.read_ts;
-        let mvstore = &self.inner.store;
-
-        // GC pin at the parent snapshot: keeps versions that died after `P`
-        // linked until the walk has harvested their tombstones. Registered
-        // like any transaction (under the pending-begin guard) and removed
-        // on every exit path by the drop guard.
-        struct GcPin<'a> {
-            txns: &'a mmdb_storage::txn_table::TxnTable,
-            id: mmdb_common::ids::TxnId,
-        }
-        impl Drop for GcPin<'_> {
-            fn drop(&mut self) {
-                self.txns.remove(self.id);
-            }
-        }
-        let _pin = {
-            let txns = mvstore.txns();
-            let pending = txns.pending_begin();
-            let id = mvstore.clock().next_txn_id();
-            txns.register(TxnHandle::new(
-                id,
-                parent_ts,
-                ConcurrencyMode::Optimistic,
-                IsolationLevel::SnapshotIsolation,
-            ));
-            drop(pending);
-            GcPin { txns, id }
-        };
-
-        // Same ordering contract as the base walk: LSN first, snapshot
-        // timestamp second.
-        let ckpt_lsn = store.logger().appended_lsn();
-        let txn = self.begin_with(
-            ConcurrencyMode::Optimistic,
-            IsolationLevel::SnapshotIsolation,
-        );
-        let read_ts = txn.begin_ts();
-        let me = txn.me();
-        self.quiesce_precommits(read_ts);
-        let mut writer = store.begin_delta(ckpt_lsn, read_ts)?;
-
-        let mut written: std::collections::HashSet<(TableId, u64)> =
-            std::collections::HashSet::new();
-        let mut tombstones: Vec<(TableId, u64)> = Vec::new();
-        for idx in 0..mvstore.table_count() {
-            let table_id = TableId(idx as u32);
-            let guard = crossbeam::epoch::pin();
-            let table = mvstore.table_in(table_id, &guard)?;
-            // Strictly below `P` means no commit touched the table in the
-            // window (the watermark was raised before any such commit
-            // published, and quiescing ordered those raises before this
-            // read): the whole table contributes nothing.
-            if table.dirty_ts() < parent_ts {
-                continue;
-            }
-            for version in table.scan_versions(IndexId(0), &guard)? {
-                loop {
-                    let vis = crate::visibility::check_visibility(
-                        version,
-                        read_ts,
-                        me,
-                        mvstore.txns(),
-                        &guard,
-                    );
-                    if vis.dependency.is_some() {
-                        std::thread::yield_now();
-                        continue;
+        if delta {
+            // Second tombstone source: `Delete` ops in the log prefix below
+            // the captured LSN whose commits postdate `P` (their dead
+            // versions may have been reclaimed before the GC pin
+            // registered).
+            for record in store.logged_since(ckpt_lsn, parent)? {
+                for op in record.ops {
+                    if let mmdb_storage::log::LogOp::Delete { table, key } = op {
+                        tombstones.push((table, key));
                     }
-                    if vis.visible {
-                        // Committed at or below `P` ⇒ already in the parent
-                        // image. An unpublished begin word can only belong
-                        // to a post-`R` writer's in-flight version (which is
-                        // never visible at `R`), but stay conservative: a
-                        // duplicate row costs bytes, not correctness.
-                        let include = match version.begin_word() {
-                            BeginWord::Timestamp(begin) => begin > parent_ts,
-                            _ => true,
-                        };
-                        if include {
-                            writer.write_row(table_id, version.data())?;
-                            written.insert((table_id, version.index_key(0)));
-                        }
-                    } else if let EndWord::Timestamp(end) = version.end_word() {
-                        // A version that died inside the window and was not
-                        // superseded by a visible successor marks a delete;
-                        // supersessions are deduplicated against `written`
-                        // below.
-                        if end > parent_ts && end <= read_ts {
-                            tombstones.push((table_id, version.index_key(0)));
-                        }
-                    }
-                    break;
                 }
             }
-        }
-        txn.commit()?;
-
-        // Second tombstone source: `Delete` ops in the log prefix below the
-        // captured LSN whose commits postdate `P` (their dead versions may
-        // have been reclaimed before the GC pin registered).
-        for record in store.logged_since(ckpt_lsn, parent_ts)? {
-            for op in record.ops {
-                if let mmdb_storage::log::LogOp::Delete { table, key } = op {
-                    tombstones.push((table, key));
+            let mut emitted: std::collections::HashSet<(TableId, u64)> =
+                std::collections::HashSet::new();
+            for (table, key) in tombstones {
+                if !written.contains(&(table, key)) && emitted.insert((table, key)) {
+                    writer.write_delete(table, key)?;
                 }
-            }
-        }
-        let mut emitted: std::collections::HashSet<(TableId, u64)> =
-            std::collections::HashSet::new();
-        for (table, key) in tombstones {
-            if !written.contains(&(table, key)) && emitted.insert((table, key)) {
-                writer.write_delete(table, key)?;
             }
         }
 
         let installed = store.install_checkpoint(writer.finish()?)?;
         store.truncate_log()?;
         Ok(installed)
-    }
-
-    /// Take whichever checkpoint `policy` calls for next: a delta while the
-    /// chain is still below `policy.max_chain` files, a full base image
-    /// otherwise (the first checkpoint, deltas disabled, or a compaction
-    /// once the chain is full). This is what the automatic tick spawned by
-    /// [`MvEngine::with_checkpoint_store`] runs.
-    pub fn checkpoint_auto(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-        policy: &mmdb_common::durability::CheckpointPolicy,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        if store.delta_due(policy) {
-            self.checkpoint_delta(store)
-        } else {
-            self.checkpoint(store)
-        }
     }
 
     /// Wait until every registered transaction that holds — or may still

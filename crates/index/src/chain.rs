@@ -260,6 +260,37 @@ mod tests {
         }
     }
 
+    /// A test index that frees the nodes still linked into it on teardown.
+    /// A `HashIndex` only threads pointers through nodes it does not own
+    /// (the storage layer frees versions), so without this every node a
+    /// test links would leak. A test frees the nodes it unlinks itself.
+    struct Fixture(HashIndex<TestNode>);
+
+    impl Fixture {
+        fn new(slot: usize, bucket_count: usize) -> Fixture {
+            Fixture(HashIndex::new(slot, bucket_count))
+        }
+    }
+
+    impl std::ops::Deref for Fixture {
+        type Target = HashIndex<TestNode>;
+        fn deref(&self) -> &HashIndex<TestNode> {
+            &self.0
+        }
+    }
+
+    impl Drop for Fixture {
+        fn drop(&mut self) {
+            let guard = epoch::pin();
+            for node in self.0.drain_exclusive(&guard) {
+                // SAFETY: teardown has exclusive access; every node was
+                // allocated by `TestNode::new` and is linked exactly once
+                // into this index.
+                drop(unsafe { node.into_owned() });
+            }
+        }
+    }
+
     fn collect_payloads(index: &HashIndex<TestNode>, key: u64) -> Vec<u64> {
         let guard = epoch::pin();
         let mut v: Vec<u64> = index
@@ -273,7 +304,7 @@ mod tests {
 
     #[test]
     fn insert_and_lookup() {
-        let index = HashIndex::<TestNode>::new(0, 16);
+        let index = Fixture::new(0, 16);
         let guard = epoch::pin();
         for i in 0..100u64 {
             let node = TestNode::new(i, i % 10, i * 2).into_shared(&guard);
@@ -288,7 +319,9 @@ mod tests {
 
     #[test]
     fn two_indexes_share_nodes() {
-        let primary = HashIndex::<TestNode>::new(0, 8);
+        // The primary fixture frees the shared nodes; the secondary only
+        // threads through them.
+        let primary = Fixture::new(0, 8);
         let secondary = HashIndex::<TestNode>::new(1, 4);
         let guard = epoch::pin();
         for i in 0..30u64 {
@@ -307,7 +340,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_chain_together() {
-        let index = HashIndex::<TestNode>::new(0, 4);
+        let index = Fixture::new(0, 4);
         let guard = epoch::pin();
         for payload in 0..5u64 {
             index.insert(TestNode::new(42, 0, payload).into_shared(&guard), &guard);
@@ -317,7 +350,7 @@ mod tests {
 
     #[test]
     fn unlink_removes_exactly_one_node() {
-        let index = HashIndex::<TestNode>::new(0, 2);
+        let index = Fixture::new(0, 2);
         let guard = epoch::pin();
         let mut nodes = Vec::new();
         for payload in 0..5u64 {
@@ -333,11 +366,15 @@ mod tests {
         assert!(index.unlink(nodes[4], &guard));
         assert!(index.unlink(nodes[0], &guard));
         assert_eq!(collect_payloads(&index, 7), vec![1, 3]);
+        for node in [nodes[0], nodes[2], nodes[4]] {
+            // SAFETY: unlinked above and never touched again.
+            drop(unsafe { node.into_owned() });
+        }
     }
 
     #[test]
     fn iter_all_visits_everything() {
-        let index = HashIndex::<TestNode>::new(0, 7);
+        let index = Fixture::new(0, 7);
         let guard = epoch::pin();
         for i in 0..50u64 {
             index.insert(TestNode::new(i, 0, i).into_shared(&guard), &guard);
@@ -352,7 +389,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_are_not_lost() {
-        let index = Arc::new(HashIndex::<TestNode>::new(0, 64));
+        let index = Arc::new(Fixture::new(0, 64));
         let inserted = Arc::new(AtomicU64::new(0));
         let threads = 4;
         let per_thread = 500u64;
@@ -382,7 +419,7 @@ mod tests {
     fn concurrent_insert_during_unlink_retries_cleanly() {
         // Unlink the head of a bucket while another thread keeps pushing new
         // heads: every push must survive, the unlinked node must disappear.
-        let index = Arc::new(HashIndex::<TestNode>::new(0, 1));
+        let index = Arc::new(Fixture::new(0, 1));
         let guard = epoch::pin();
         let victim = TestNode::new(0, 0, 900_999).into_shared(&guard);
         index.insert(victim, &guard);
@@ -419,6 +456,8 @@ mod tests {
             .collect();
         assert_eq!(payloads.len(), 2000);
         assert!(!payloads.contains(&900_999));
+        // SAFETY: both threads are done; the unlinked victim is unreachable.
+        drop(unsafe { Owned::from_raw(victim_addr as *mut TestNode) });
     }
 
     #[test]

@@ -139,126 +139,111 @@ impl SvEngine {
         Ok(self.table(table)?.row_count())
     }
 
-    /// Take a checkpoint into `store` and truncate the redo log below it.
+    /// Take whichever checkpoint `policy` calls for next into `store`, then
+    /// truncate the redo log below it. The image is a delta against the
+    /// parent snapshot `P` that
+    /// [`CheckpointStore::next_parent`](mmdb_storage::checkpoint::CheckpointStore::next_parent)
+    /// picks: the chain tip's snapshot while the chain has room under
+    /// `policy.max_chain`, otherwise [`Timestamp::ZERO`] — a full base image
+    /// (the first checkpoint, deltas disabled, or a compaction once the
+    /// chain is full).
     ///
     /// The engine must route its redo stream through `store`'s group-commit
     /// log ([`SvEngine::with_logger`] of `CheckpointStore::logger`).
     ///
-    /// Unlike the multiversion engines, the single-version walk **blocks
-    /// writers**: with one version per row the only consistent image is the
-    /// current one, so the walk takes a shared lock on every primary bucket
-    /// of every table (canonical order; lock timeouts break deadlocks with
-    /// concurrent writers, surfacing as a retryable
-    /// [`MmdbError::LockTimeout`]). This is the paper's single-version
-    /// trade-off showing up in checkpointing, deliberately preserved as the
-    /// 1V contrast. The ordering contract is *stronger* than MV's: the
-    /// checkpoint LSN and the snapshot timestamp are both captured while
-    /// every primary bucket is locked — writers are fully drained (a
-    /// committer holds its exclusive locks across frame append), so the
-    /// frames below the LSN are exactly the commits below the timestamp.
-    pub fn checkpoint(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        // The walk needs a lock owner of its own.
-        let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
-        let mut held: Vec<(TableId, usize)> = Vec::new();
-        let result = self.checkpoint_walk(store, me, &mut held);
-        self.release_held(me, &held);
-        let installed = store.install_checkpoint(result?)?;
-        store.truncate_log()?;
-        Ok(installed)
-    }
-
-    /// Take a *delta* checkpoint into `store`: an image holding only what
-    /// changed since the previous chain element, appended to the chain
-    /// instead of rewriting every table. Requires an installed chain
-    /// ([`SvEngine::checkpoint`] first).
+    /// Both kinds start with one barrier: a shared lock on every primary
+    /// bucket of every table (canonical order; lock timeouts break
+    /// deadlocks with concurrent writers, surfacing as a retryable
+    /// [`MmdbError::LockTimeout`]). With every writer drained (a committer
+    /// holds its exclusive locks across frame append) the log high-water
+    /// mark and the timestamp captured under it bound each other exactly:
+    /// the frames below the LSN are exactly the commits below the
+    /// timestamp. Then:
     ///
-    /// Where the base image must hold its locks for the whole table walk,
-    /// the delta only needs them for an instant: with every primary bucket
-    /// locked it captures the log high-water mark and a timestamp, then
-    /// releases — the log prefix below that LSN is immutable, and the delta
-    /// is computed *from the log* by collapsing the window's `Write` /
-    /// `Delete` ops per primary key (latest end timestamp wins). Writers
-    /// are blocked only for the capture, turning the 1V checkpoint stall
-    /// from O(database) into O(lock count).
-    pub fn checkpoint_delta(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        use std::collections::btree_map::Entry;
-
-        let parent = store
-            .last_checkpoint()
-            .ok_or(MmdbError::CheckpointInvalid {
-                reason: "no checkpoint installed to delta against",
-            })?;
-        let parent_ts = parent.read_ts;
-        let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
-        let mut held: Vec<(TableId, usize)> = Vec::new();
-        let barrier = self.acquire_all_primary(me, &mut held).map(|()| {
-            (
-                store.logger().appended_lsn(),
-                self.inner.clock.next_timestamp(),
-            )
-        });
-        self.release_held(me, &held);
-        let (ckpt_lsn, read_ts) = barrier?;
-
-        // Writers have resumed; everything below `ckpt_lsn` is immutable.
-        // Collapse the window `(parent_ts, read_ts]` newest-wins per primary
-        // key. Frames below the *parent's* LSN were captured under the same
-        // barrier, so `end_ts > parent_ts` alone selects the window exactly.
-        let mut latest: std::collections::BTreeMap<(TableId, Key), (Timestamp, Option<Row>)> =
-            std::collections::BTreeMap::new();
-        for record in store.logged_since(ckpt_lsn, parent_ts)? {
-            for op in record.ops {
-                let (table, key, value) = match op {
-                    LogOp::Write { table, row } => {
-                        let key = self.table(table)?.key_of(IndexId(0), &row)?;
-                        (table, key, Some(row))
-                    }
-                    LogOp::Delete { table, key } => (table, key, None),
-                };
-                match latest.entry((table, key)) {
-                    Entry::Vacant(slot) => {
-                        slot.insert((record.end_ts, value));
-                    }
-                    Entry::Occupied(mut slot) => {
-                        if record.end_ts >= slot.get().0 {
-                            slot.insert((record.end_ts, value));
-                        }
-                    }
-                }
-            }
-        }
-        let mut writer = store.begin_delta(ckpt_lsn, read_ts)?;
-        for ((table, key), (_, value)) in latest {
-            match value {
-                Some(row) => writer.write_row(table, &row)?,
-                None => writer.write_delete(table, key)?,
-            }
-        }
-        let installed = store.install_checkpoint(writer.finish()?)?;
-        store.truncate_log()?;
-        Ok(installed)
-    }
-
-    /// Take whichever checkpoint `policy` calls for next: a delta while the
-    /// chain is below `policy.max_chain` files, a full base image otherwise
-    /// (the first checkpoint, deltas disabled, or a compaction once the
-    /// chain is full).
+    /// * **A base** walks every table *before* releasing the locks — with
+    ///   one version per row the only consistent image is the current one,
+    ///   so the walk **blocks writers**. This is the paper's single-version
+    ///   trade-off showing up in checkpointing, deliberately preserved as
+    ///   the 1V contrast.
+    /// * **Any other image** releases the locks at once: the log prefix
+    ///   below the captured LSN is immutable, and the image is computed
+    ///   *from the log* by collapsing the window's `Write` / `Delete` ops
+    ///   per primary key (latest end timestamp wins). Writers are blocked
+    ///   only for the capture, turning the 1V checkpoint stall from
+    ///   O(database) into O(lock count).
     pub fn checkpoint_auto(
         &self,
         store: &mmdb_storage::checkpoint::CheckpointStore,
         policy: &CheckpointPolicy,
     ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        if store.delta_due(policy) {
-            self.checkpoint_delta(store)
-        } else {
-            self.checkpoint(store)
+        use std::collections::btree_map::Entry;
+
+        let parent = store.next_parent(policy);
+        // The barrier needs a lock owner of its own.
+        let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
+        let mut held: Vec<(TableId, usize)> = Vec::new();
+        let barrier = self.acquire_all_primary(me, &mut held).and_then(|()| {
+            let ckpt_lsn = store.logger().appended_lsn();
+            let read_ts = self.inner.clock.next_timestamp();
+            let mut writer = store.begin_image(parent, ckpt_lsn, read_ts)?;
+            if parent == Timestamp::ZERO {
+                for idx in 0..self.inner.tables.len() {
+                    let table_id = TableId(idx as u32);
+                    let mut write_err: Option<MmdbError> = None;
+                    self.table(table_id)?.visit_all(&mut |row| {
+                        if write_err.is_none() {
+                            write_err = writer.write_row(table_id, row).err();
+                        }
+                    });
+                    if let Some(e) = write_err {
+                        return Err(e);
+                    }
+                }
+            }
+            Ok(writer)
+        });
+        self.release_held(me, &held);
+        let mut writer = barrier?;
+
+        if parent > Timestamp::ZERO {
+            // Writers have resumed; everything below the captured LSN is
+            // immutable. Collapse the window `(P, R]` newest-wins per
+            // primary key. Frames below the *parent's* LSN were captured
+            // under the same barrier, so `end_ts > P` alone selects the
+            // window exactly.
+            let mut latest: std::collections::BTreeMap<(TableId, Key), (Timestamp, Option<Row>)> =
+                std::collections::BTreeMap::new();
+            for record in store.logged_since(writer.lsn(), parent)? {
+                for op in record.ops {
+                    let (table, key, value) = match op {
+                        LogOp::Write { table, row } => {
+                            let key = self.table(table)?.key_of(IndexId(0), &row)?;
+                            (table, key, Some(row))
+                        }
+                        LogOp::Delete { table, key } => (table, key, None),
+                    };
+                    match latest.entry((table, key)) {
+                        Entry::Vacant(slot) => {
+                            slot.insert((record.end_ts, value));
+                        }
+                        Entry::Occupied(mut slot) => {
+                            if record.end_ts >= slot.get().0 {
+                                slot.insert((record.end_ts, value));
+                            }
+                        }
+                    }
+                }
+            }
+            for ((table, key), (_, value)) in latest {
+                match value {
+                    Some(row) => writer.write_row(table, &row)?,
+                    None => writer.write_delete(table, key)?,
+                }
+            }
         }
+        let installed = store.install_checkpoint(writer.finish()?)?;
+        store.truncate_log()?;
+        Ok(installed)
     }
 
     /// Shared-lock every primary bucket of every table in canonical order;
@@ -295,38 +280,6 @@ impl SvEngine {
                 }
             }
         }
-    }
-
-    /// Lock-acquire + walk phase of [`SvEngine::checkpoint`].
-    fn checkpoint_walk(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-        me: TxnId,
-        held: &mut Vec<(TableId, usize)>,
-    ) -> Result<mmdb_storage::checkpoint::FinishedCheckpoint> {
-        self.acquire_all_primary(me, held)?;
-        // All writers are drained (strict 2PL: anyone mid-commit still held
-        // exclusive primary locks across its log append); the LSN and
-        // timestamp captured now bound each other exactly.
-        let ckpt_lsn = store.logger().appended_lsn();
-        let read_ts = self.inner.clock.next_timestamp();
-        let mut writer = store.begin_checkpoint(ckpt_lsn, read_ts)?;
-        for idx in 0..self.inner.tables.len() {
-            let table_id = TableId(idx as u32);
-            let table = self.table(table_id)?;
-            let mut write_err: Option<MmdbError> = None;
-            table.visit_all(&mut |row| {
-                if write_err.is_none() {
-                    if let Err(e) = writer.write_row(table_id, row) {
-                        write_err = Some(e);
-                    }
-                }
-            });
-            if let Some(e) = write_err {
-                return Err(e);
-            }
-        }
-        writer.finish()
     }
 
     /// Recover this (freshly created, tables re-created) engine from a

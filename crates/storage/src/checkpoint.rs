@@ -15,10 +15,10 @@
 //! ```text
 //! <dir>/MANIFEST       append-only, framed; the recovery root
 //! <dir>/wal-<g>.log    the redo log segment of generation <g>
-//! <dir>/ckpt-<g>.db    the base checkpoint image installed at generation <g>
-//! <dir>/delta-<g>.db   a delta image installed at generation <g>
+//! <dir>/ckpt-<g>.db    a base image (parent ZERO) installed at generation <g>
+//! <dir>/delta-<g>.db   an image with a later parent installed at generation <g>
 //! <dir>/ckpt.tmp       a base image being written (never read by recovery)
-//! <dir>/delta.tmp      a delta image being written (never read by recovery)
+//! <dir>/delta.tmp      any other image being written (never read by recovery)
 //! ```
 //!
 //! Every file uses the redo log's wire discipline (length prefix with XOR
@@ -29,40 +29,47 @@
 //!
 //! The `MANIFEST` is an append-only sequence of framed entries; the **last
 //! complete entry wins**. Each entry names the live log segment (and the
-//! logical LSN of its byte 0) plus the installed *checkpoint chain*: a base
-//! image followed by zero or more ordered deltas, each with its LSN and
-//! snapshot read timestamp. An entry is only ever appended *after* every
+//! logical LSN of its byte 0) plus the installed *checkpoint chain* (an
+//! element count, then every element's LSN, snapshot read timestamp and
+//! file name, base first). An entry is only ever appended *after* every
 //! file it references is durable, so the last complete entry always
 //! describes files that exist with valid contents; a crash mid-append
 //! leaves a torn tail that recovery skips, falling back to the previous
 //! entry.
 //!
-//! ## Delta checkpoints
+//! ## One image kind: a delta against a parent snapshot
 //!
-//! A *delta* image ([`CheckpointStore::begin_delta`], installed like a
-//! base through [`CheckpointStore::install_checkpoint`]) holds only the
-//! rows whose latest committed version moved past the previous chain
-//! element's snapshot (`parent_read_ts < begin_ts <= read_ts`) plus the
-//! primary keys deleted
-//! in that window — checkpointing pays for what changed, not what exists.
-//! Recovery applies the base, then each delta in chain order (**its deletes
-//! first, then its writes** — a delete+reinsert in one window therefore
-//! resolves to the reinserted row), then the log tail above the *last*
-//! chain element. Installing a new *base* resets the chain and deletes the
-//! superseded files (compaction); the chain length is bounded by
-//! `CheckpointPolicy::max_chain`.
+//! Every image records its *parent snapshot* `P` and its own snapshot
+//! `read_ts` `R`, and holds the rows whose latest committed version moved
+//! into `(P, R]` plus the primary keys deleted in that window —
+//! checkpointing pays for what changed, not what exists. A *base* image is
+//! simply the image whose parent is [`Timestamp::ZERO`], which the clock
+//! guarantees is earlier than any commit: every live row is newer than it,
+//! and nothing existed at it to delete, so a base carries no deletes.
+//!
+//! The chain is a base followed by zero or more images whose parents are
+//! each the previous element's `read_ts`. Recovery applies them in chain
+//! order (**each image's deletes first, then its writes** — a
+//! delete+reinsert in one window therefore resolves to the reinserted row),
+//! then the log tail above the *last* chain element. Installing a base
+//! resets the chain and deletes the superseded files (compaction); the
+//! chain length is bounded by `CheckpointPolicy::max_chain`, which is what
+//! [`CheckpointStore::next_parent`] consults to pick the next parent.
 //!
 //! ## The checkpoint protocol
 //!
-//! 1. **Write** — [`CheckpointStore::begin_checkpoint`] opens `ckpt.tmp`;
-//!    the caller streams every visible row through
-//!    [`CheckpointWriter::write_row`] and calls [`CheckpointWriter::finish`],
-//!    which appends a trailer frame (row count) and fsyncs. A crash here
-//!    leaves only a dead tmp file.
+//! 1. **Write** — [`CheckpointStore::begin_image`] opens `ckpt.tmp` (parent
+//!    ZERO) or `delta.tmp` (any other parent);
+//!    the caller streams the window's rows through
+//!    [`CheckpointWriter::write_row`] and its deletes through
+//!    [`CheckpointWriter::write_delete`], and calls
+//!    [`CheckpointWriter::finish`], which appends a trailer frame (op
+//!    count) and fsyncs. A crash here leaves only a dead tmp file.
 //! 2. **Install** — [`CheckpointStore::install_checkpoint`] renames the tmp
-//!    file to `ckpt-<g>.db`, fsyncs the directory, then appends (and fsyncs)
-//!    a manifest entry pointing at it. A crash before the entry is complete
-//!    recovers from the previous manifest entry.
+//!    file to `ckpt-<g>.db` (a base) or `delta-<g>.db` (any other image),
+//!    fsyncs the directory, then appends (and fsyncs) a manifest entry
+//!    pointing at it. A crash before the entry is complete recovers from
+//!    the previous manifest entry.
 //! 3. **Truncate** — [`CheckpointStore::truncate_log`] rotates the
 //!    [`GroupCommitLog`] onto `wal-<g>.log` keeping only bytes at LSNs `>=`
 //!    the checkpoint LSN; the manifest entry naming the new segment is
@@ -74,6 +81,14 @@
 //! Each step is individually crash-atomic, which is why they are exposed as
 //! separate operations: the recovery crash tests drive byte-level crash
 //! states between and inside each one.
+//!
+//! ## Image format
+//!
+//! An image is a sequence of redo-log frames: a 36-byte header frame
+//! (magic, format version, LSN, `read_ts`, parent snapshot), row frames
+//! (ordinary `Write` ops at `end_ts = read_ts`, batched to 64 KiB), delete
+//! frames (`Delete` ops at the same timestamp), and a trailer frame holding
+//! the op count.
 //!
 //! ## Consistency contract
 //!
@@ -111,11 +126,11 @@ use crate::log::{
 const CKPT_MAGIC: &[u8; 8] = b"MMDBCKP1";
 /// Magic bytes of the trailer frame that marks a checkpoint complete.
 const CKPT_TRAILER: &[u8; 8] = b"MMDBCKPE";
-/// Base-image format version (28-byte header, no deletes).
-const CKPT_VERSION: u32 = 1;
-/// Delta-image format version (36-byte header carrying the parent snapshot
-/// timestamp; delete ops allowed).
-const CKPT_DELTA_VERSION: u32 = 2;
+/// Image format version: a 36-byte header carrying the LSN, the snapshot
+/// timestamp and the parent snapshot timestamp.
+const CKPT_VERSION: u32 = 2;
+/// Length of the header frame's body.
+const CKPT_HEADER_LEN: usize = 36;
 /// The manifest file name inside a checkpoint directory.
 const MANIFEST: &str = "MANIFEST";
 /// Row frames are flushed once the pending batch reaches this many bytes.
@@ -176,22 +191,9 @@ impl ManifestEntry {
         body.extend_from_slice(&self.log_base.0.to_le_bytes());
         body.extend_from_slice(&(self.log_name.len() as u32).to_le_bytes());
         body.extend_from_slice(self.log_name.as_bytes());
-        // Checkpoint tag: 0 = none, 1 = single image (the pre-delta wire
-        // format, still emitted for one-element chains so old manifests and
-        // new ones stay byte-compatible in the common case), 2 = chain.
-        match self.chain.as_slice() {
-            [] => body.push(0),
-            [meta] => {
-                body.push(1);
-                meta.encode_into(body);
-            }
-            chain => {
-                body.push(2);
-                body.extend_from_slice(&(chain.len() as u32).to_le_bytes());
-                for meta in chain {
-                    meta.encode_into(body);
-                }
-            }
+        body.extend_from_slice(&(self.chain.len() as u32).to_le_bytes());
+        for meta in &self.chain {
+            meta.encode_into(body);
         }
     }
 
@@ -203,20 +205,10 @@ impl ManifestEntry {
         let generation = cursor.take_u64()?;
         let log_base = Lsn(cursor.take_u64()?);
         let log_name = cursor.take_name("manifest log name is not UTF-8")?;
-        let chain = match cursor.take(1)?[0] {
-            0 => Vec::new(),
-            1 => vec![cursor.take_meta()?],
-            2 => {
-                let count = cursor.take_u32()? as usize;
-                if count < 2 {
-                    return Err(invalid("manifest chain tag with fewer than two elements"));
-                }
-                (0..count)
-                    .map(|_| cursor.take_meta())
-                    .collect::<Result<Vec<_>>>()?
-            }
-            _ => return Err(invalid("manifest entry has an unknown checkpoint tag")),
-        };
+        let count = cursor.take_u32()?;
+        let chain = (0..count)
+            .map(|_| cursor.take_meta())
+            .collect::<Result<Vec<_>>>()?;
         if cursor.pos != body.len() {
             return Err(invalid("manifest entry has trailing bytes"));
         }
@@ -357,24 +349,23 @@ impl RecoveryPlan {
 // ---------------------------------------------------------------------------
 
 /// Streams a checkpoint image into its temporary file (`ckpt.tmp` for a
-/// base, `delta.tmp` for a delta).
+/// base, `delta.tmp` for any other parent).
 ///
 /// Rows are buffered and emitted as ordinary redo-log `Write` frames (at
 /// `end_ts = read_ts`, batched to `ROW_BATCH_TARGET` bytes per frame),
-/// framed between a header and a trailer. Delta writers additionally accept
-/// [`write_delete`](Self::write_delete) tombstones, emitted as `Delete`
+/// framed between a header and a trailer.
+/// [`write_delete`](Self::write_delete) tombstones are emitted as `Delete`
 /// frames ahead of the trailer. Obtain one from
-/// [`CheckpointStore::begin_checkpoint`] or
-/// [`CheckpointStore::begin_delta`], feed every op through, then
+/// [`CheckpointStore::begin_image`], feed every op through, then
 /// [`finish`](Self::finish).
 pub struct CheckpointWriter {
     file: File,
     tmp_path: PathBuf,
     lsn: Lsn,
     read_ts: Timestamp,
-    /// Snapshot timestamp of the previous chain element (`Some` for a delta
-    /// writer; `None` for a base image, which rejects deletes).
-    parent_read_ts: Option<Timestamp>,
+    /// Snapshot timestamp of the previous chain element
+    /// ([`Timestamp::ZERO`] for a base image, which rejects deletes).
+    parent_read_ts: Timestamp,
     ops: u64,
     deletes: Vec<(TableId, u64)>,
     batch: Vec<(TableId, Row)>,
@@ -383,13 +374,13 @@ pub struct CheckpointWriter {
 }
 
 /// A finished (written + fsynced) checkpoint still under its temporary
-/// name. Pass to [`CheckpointStore::install_checkpoint`] (base or delta)
-/// to make it part of the recovery source.
+/// name. Pass to [`CheckpointStore::install_checkpoint`] to make it part
+/// of the recovery source.
 pub struct FinishedCheckpoint {
     tmp_path: PathBuf,
     lsn: Lsn,
     read_ts: Timestamp,
-    parent_read_ts: Option<Timestamp>,
+    parent_read_ts: Timestamp,
     /// Number of row (write) ops in the image.
     pub rows: u64,
     /// Number of delete ops in the image (always 0 for a base).
@@ -403,24 +394,15 @@ impl CheckpointWriter {
         tmp_path: PathBuf,
         lsn: Lsn,
         read_ts: Timestamp,
-        parent_read_ts: Option<Timestamp>,
+        parent_read_ts: Timestamp,
     ) -> Result<CheckpointWriter> {
         let mut file = File::create(&tmp_path).map_err(io_err)?;
-        let mut header = Vec::with_capacity(36);
+        let mut header = Vec::with_capacity(CKPT_HEADER_LEN);
         header.extend_from_slice(CKPT_MAGIC);
-        match parent_read_ts {
-            None => {
-                header.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-                header.extend_from_slice(&lsn.0.to_le_bytes());
-                header.extend_from_slice(&read_ts.raw().to_le_bytes());
-            }
-            Some(parent) => {
-                header.extend_from_slice(&CKPT_DELTA_VERSION.to_le_bytes());
-                header.extend_from_slice(&lsn.0.to_le_bytes());
-                header.extend_from_slice(&read_ts.raw().to_le_bytes());
-                header.extend_from_slice(&parent.raw().to_le_bytes());
-            }
-        }
+        header.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        header.extend_from_slice(&lsn.0.to_le_bytes());
+        header.extend_from_slice(&read_ts.raw().to_le_bytes());
+        header.extend_from_slice(&parent_read_ts.raw().to_le_bytes());
         let mut frame = Vec::with_capacity(header.len() + 16);
         frame_body_into(&mut frame, &header);
         file.write_all(&frame).map_err(io_err)?;
@@ -448,9 +430,9 @@ impl CheckpointWriter {
         self.lsn
     }
 
-    /// The previous chain element's snapshot timestamp (`Some` iff this is
-    /// a delta writer).
-    pub fn parent_read_ts(&self) -> Option<Timestamp> {
+    /// The previous chain element's snapshot timestamp ([`Timestamp::ZERO`]
+    /// for a base image).
+    pub fn parent_read_ts(&self) -> Timestamp {
         self.parent_read_ts
     }
 
@@ -466,12 +448,12 @@ impl CheckpointWriter {
         Ok(())
     }
 
-    /// Add one deleted primary key to the image (delta writers only — a
-    /// base image enumerates live rows and has nothing to delete).
-    /// Recovery applies a delta's deletes before its writes, so a spurious
-    /// tombstone for a key the same delta rewrites is harmless.
+    /// Add one primary key deleted since the parent snapshot (a base image,
+    /// whose parent is [`Timestamp::ZERO`], has nothing to delete).
+    /// Recovery applies an image's deletes before its writes, so a spurious
+    /// tombstone for a key the same image rewrites is harmless.
     pub fn write_delete(&mut self, table: TableId, key: u64) -> Result<()> {
-        if self.parent_read_ts.is_none() {
+        if self.parent_read_ts == Timestamp::ZERO {
             return Err(invalid("a base checkpoint image cannot carry deletes"));
         }
         self.deletes.push((table, key));
@@ -541,26 +523,27 @@ pub struct CheckpointContents {
     pub lsn: Lsn,
     /// Snapshot read timestamp of the image.
     pub read_ts: Timestamp,
-    /// For a delta image, the previous chain element's snapshot timestamp;
-    /// `None` for a base image.
-    pub parent_read_ts: Option<Timestamp>,
+    /// The previous chain element's snapshot timestamp;
+    /// [`Timestamp::ZERO`] for a base image.
+    pub parent_read_ts: Timestamp,
     /// Every row in the image, in file order.
     pub rows: Vec<(TableId, Row)>,
-    /// Primary keys deleted since the parent snapshot (delta images only;
-    /// apply these **before** the rows).
+    /// Primary keys deleted since the parent snapshot (always empty for a
+    /// base image; apply these **before** the rows).
     pub deletes: Vec<(TableId, u64)>,
 }
 
-/// Read and validate a checkpoint file (base or delta).
+/// Read and validate a checkpoint image.
 ///
 /// Validation is strict because a checkpoint is only ever read after the
 /// manifest durably named it, at which point it must be perfect: header
-/// magic/version, every row frame's checksum, the trailer's op count, and
-/// the absence of trailing bytes are all checked. Any shortfall —
-/// including a torn tail, which in a log would be tolerated — is
-/// [`MmdbError::CheckpointInvalid`]: loading half a checkpoint would
-/// silently lose rows. Base images (version 1) additionally reject delete
-/// ops — a base enumerates live rows and has nothing to delete.
+/// magic/version/length, every row frame's checksum and timestamp, the
+/// trailer's op count, and the absence of trailing bytes are all checked.
+/// Any shortfall — including a torn tail, which in a log would be
+/// tolerated — is [`MmdbError::CheckpointInvalid`]: loading half a
+/// checkpoint would silently lose rows. An image whose parent is
+/// [`Timestamp::ZERO`] (a base) additionally rejects delete ops — nothing
+/// existed at ZERO to delete.
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointContents> {
     let file = File::open(path.as_ref()).map_err(io_err)?;
     let mut frames = FrameStream::new(file, CKPT_CHUNK, 0);
@@ -572,22 +555,16 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointContents> {
         return Err(invalid("checkpoint header magic mismatch"));
     }
     let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    let parent_read_ts = match version {
-        CKPT_VERSION if header.len() == 28 => None,
-        CKPT_DELTA_VERSION if header.len() == 36 => Some(Timestamp(u64::from_le_bytes(
-            header[28..36].try_into().expect("8 bytes"),
-        ))),
-        CKPT_VERSION | CKPT_DELTA_VERSION => {
-            return Err(invalid("checkpoint header length mismatch"))
-        }
-        _ => return Err(invalid("unsupported checkpoint version")),
-    };
-    let lsn = Lsn(u64::from_le_bytes(
-        header[12..20].try_into().expect("8 bytes"),
-    ));
-    let read_ts = Timestamp(u64::from_le_bytes(
-        header[20..28].try_into().expect("8 bytes"),
-    ));
+    if version != CKPT_VERSION {
+        return Err(invalid("unsupported checkpoint version"));
+    }
+    if header.len() != CKPT_HEADER_LEN {
+        return Err(invalid("checkpoint header length mismatch"));
+    }
+    let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let lsn = Lsn(field(12));
+    let read_ts = Timestamp(field(20));
+    let parent_read_ts = Timestamp(field(28));
     let mut rows: Vec<(TableId, Row)> = Vec::new();
     let mut deletes: Vec<(TableId, u64)> = Vec::new();
     let mut trailer_ops: Option<u64> = None;
@@ -607,7 +584,7 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointContents> {
             match op {
                 crate::log::LogOp::Write { table, row } => rows.push((table, row)),
                 crate::log::LogOp::Delete { table, key } => {
-                    if parent_read_ts.is_none() {
+                    if parent_read_ts == Timestamp::ZERO {
                         return Err(invalid("checkpoint contains a delete op"));
                     }
                     deletes.push((table, key));
@@ -842,9 +819,9 @@ impl CheckpointStore {
         &self.logger
     }
 
-    /// Path of the live log segment `logger()` is appending to. The delta
-    /// checkpointers scan its immutable prefix (bytes below a captured
-    /// checkpoint LSN) after flushing the logger.
+    /// Path of the live log segment `logger()` is appending to.
+    /// [`logged_since`](Self::logged_since) scans its immutable prefix
+    /// (bytes below a captured checkpoint LSN) after flushing the logger.
     pub fn log_path(&self) -> PathBuf {
         let m = self.manifest.lock();
         self.dir.join(&m.current.log_name)
@@ -909,57 +886,59 @@ impl CheckpointStore {
         policy.due(self.log_bytes_since_checkpoint())
     }
 
-    /// Per `policy`, should the next checkpoint be a delta (extend the
-    /// chain) rather than a fresh base? True only when deltas are enabled
-    /// (`max_chain > 1`), a base exists to delta against, and the chain has
-    /// room; otherwise the next checkpoint compacts to a base.
-    pub fn delta_due(&self, policy: &CheckpointPolicy) -> bool {
-        if policy.max_chain <= 1 {
-            return false;
+    /// The parent snapshot of the next image `policy` calls for: the chain
+    /// tip's `read_ts` while the chain has room under `policy.max_chain`
+    /// (so the image extends the chain), otherwise [`Timestamp::ZERO`] (a
+    /// base: the first checkpoint, deltas disabled, or a compaction once
+    /// the chain is full).
+    pub fn next_parent(&self, policy: &CheckpointPolicy) -> Timestamp {
+        let m = self.manifest.lock();
+        match m.current.chain.last() {
+            Some(tip) if m.current.chain.len() < policy.max_chain as usize => tip.read_ts,
+            _ => Timestamp::ZERO,
         }
-        let len = self.chain_len();
-        len >= 1 && len < policy.max_chain as usize
     }
 
-    /// Open `ckpt.tmp` for a new base image covering log LSN `lsn` at
-    /// snapshot timestamp `read_ts`. At most one checkpoint writer should
-    /// exist at a time (they share the tmp names); the engines serialize
-    /// checkpoints.
+    /// Open a writer for an image covering log LSN `lsn` at snapshot
+    /// timestamp `read_ts` against the parent snapshot `parent`: either
+    /// [`Timestamp::ZERO`] (a base, written to `ckpt.tmp`) or the installed
+    /// chain tip's `read_ts` (written to `delta.tmp`). At most one
+    /// checkpoint writer should exist at a time (they share the tmp names);
+    /// the engines serialize checkpoints.
+    pub fn begin_image(
+        &self,
+        parent: Timestamp,
+        lsn: Lsn,
+        read_ts: Timestamp,
+    ) -> Result<CheckpointWriter> {
+        if read_ts < parent {
+            return Err(invalid("image snapshot predates its parent snapshot"));
+        }
+        let tmp = if parent == Timestamp::ZERO {
+            "ckpt.tmp"
+        } else if self.last_checkpoint().map(|tip| tip.read_ts) == Some(parent) {
+            "delta.tmp"
+        } else {
+            return Err(invalid("image parent snapshot is not the chain tip"));
+        };
+        CheckpointWriter::create(self.dir.join(tmp), lsn, read_ts, parent)
+    }
+
+    /// [`begin_image`](Self::begin_image) for a base image (parent ZERO).
     pub fn begin_checkpoint(&self, lsn: Lsn, read_ts: Timestamp) -> Result<CheckpointWriter> {
-        CheckpointWriter::create(self.dir.join("ckpt.tmp"), lsn, read_ts, None)
+        self.begin_image(Timestamp::ZERO, lsn, read_ts)
     }
 
-    /// Open `delta.tmp` for a delta image covering log LSN `lsn` at
-    /// snapshot timestamp `read_ts`, relative to the current chain's last
-    /// element (whose `read_ts` becomes the delta's parent snapshot).
-    /// Requires an installed chain to delta against.
-    pub fn begin_delta(&self, lsn: Lsn, read_ts: Timestamp) -> Result<CheckpointWriter> {
-        let parent = self
-            .last_checkpoint()
-            .ok_or(invalid("no checkpoint installed to delta against"))?;
-        if read_ts < parent.read_ts {
-            return Err(invalid("delta snapshot predates its parent checkpoint"));
-        }
-        CheckpointWriter::create(
-            self.dir.join("delta.tmp"),
-            lsn,
-            read_ts,
-            Some(parent.read_ts),
-        )
-    }
-
-    /// Make a finished image part of the recovery source, routed on its
-    /// kind:
+    /// Make a finished image part of the recovery source:
     ///
-    /// * a **base** ([`begin_checkpoint`](Self::begin_checkpoint)) is renamed
-    ///   to `ckpt-<g>.db` and becomes the whole chain; the previously
-    ///   installed chain's files (base and any deltas — this is how a chain
-    ///   compacts) are deleted once the new manifest entry is durable;
-    /// * a **delta** ([`begin_delta`](Self::begin_delta)) is renamed to
-    ///   `delta-<g>.db` and appended to the chain, whose earlier elements
-    ///   remain the recovery prefix. Its parent snapshot must match the
-    ///   current chain tip (checkpoints are serialized by the engines, so a
-    ///   mismatch is a protocol bug).
+    /// * an image with parent [`Timestamp::ZERO`] (a **base**) is renamed to
+    ///   `ckpt-<g>.db` and becomes the whole chain; the previously installed
+    ///   chain's files are deleted once the new manifest entry is durable
+    ///   (this is how a chain compacts);
+    /// * any other image is renamed to `delta-<g>.db` and appended to the
+    ///   chain, whose earlier elements remain the recovery prefix. Its
+    ///   parent snapshot must match the current chain tip (checkpoints are
+    ///   serialized by the engines, so a mismatch is a protocol bug).
     ///
     /// Either way the directory is fsynced after the rename and the manifest
     /// entry is appended (and fsynced) before this returns. The log is
@@ -968,21 +947,17 @@ impl CheckpointStore {
     pub fn install_checkpoint(&self, finished: FinishedCheckpoint) -> Result<CheckpointRef> {
         let mut m = self.manifest.lock();
         let generation = m.current.generation + 1;
-        let (name, mut chain) = match finished.parent_read_ts {
-            None => (format!("ckpt-{generation}.db"), Vec::new()),
-            Some(parent_read_ts) => {
-                let tip = m
-                    .current
-                    .chain
-                    .last()
-                    .ok_or(invalid("no checkpoint chain to append a delta to"))?;
-                if tip.read_ts != parent_read_ts {
-                    return Err(invalid(
-                        "delta parent snapshot does not match the chain tip",
-                    ));
-                }
-                (format!("delta-{generation}.db"), m.current.chain.clone())
+        let base = finished.parent_read_ts == Timestamp::ZERO;
+        let (name, mut chain) = if base {
+            (format!("ckpt-{generation}.db"), Vec::new())
+        } else {
+            let tip = m.current.chain.last().map(|tip| tip.read_ts);
+            if tip != Some(finished.parent_read_ts) {
+                return Err(invalid(
+                    "image parent snapshot does not match the chain tip",
+                ));
             }
+            (format!("delta-{generation}.db"), m.current.chain.clone())
         };
         let path = self.dir.join(&name);
         fs::rename(&finished.tmp_path, &path).map_err(io_err)?;
@@ -1003,7 +978,7 @@ impl CheckpointStore {
         drop(m);
         self.bytes_written
             .fetch_add(finished.bytes, std::sync::atomic::Ordering::Relaxed);
-        if finished.parent_read_ts.is_none() {
+        if base {
             for old in replaced.chain {
                 let _ = fs::remove_file(self.dir.join(old.name));
             }
@@ -1015,7 +990,7 @@ impl CheckpointStore {
         })
     }
 
-    /// The committed records a delta checkpoint's window covers: every
+    /// The committed records an image's window covers: every
     /// record in the live log segment below `lsn` whose end timestamp is
     /// later than `after` (the parent snapshot). Flushes the log first so
     /// the prefix is readable from the file. `lsn` must have been read from
@@ -1341,9 +1316,9 @@ mod tests {
         logger.append(record(2, 1));
         logger.flush().unwrap();
         let mut writer = store
-            .begin_delta(logger.appended_lsn(), Timestamp(5))
+            .begin_image(Timestamp(1), logger.appended_lsn(), Timestamp(5))
             .unwrap();
-        assert_eq!(writer.parent_read_ts(), Some(Timestamp(1)));
+        assert_eq!(writer.parent_read_ts(), Timestamp(1));
         writer.write_row(TableId(0), &[7u8; 24]).unwrap();
         writer.write_delete(TableId(1), 42).unwrap();
         writer.write_delete(TableId(0), 9).unwrap();
@@ -1352,7 +1327,7 @@ mod tests {
         assert_eq!(finished.deletes, 2);
         let contents = read_checkpoint(dir.join("delta.tmp")).unwrap();
         assert_eq!(contents.read_ts, Timestamp(5));
-        assert_eq!(contents.parent_read_ts, Some(Timestamp(1)));
+        assert_eq!(contents.parent_read_ts, Timestamp(1));
         assert_eq!(
             contents.rows,
             vec![(TableId(0), Row::copy_from_slice(&[7u8; 24]))]
@@ -1373,7 +1348,7 @@ mod tests {
     fn delta_requires_an_installed_base() {
         let dir = scratch_dir("delta-needs-base");
         let store = CheckpointStore::create(&dir).unwrap();
-        let err = match store.begin_delta(Lsn(1), Timestamp(1)) {
+        let err = match store.begin_image(Timestamp(1), Lsn(1), Timestamp(1)) {
             Ok(_) => panic!("no base yet"),
             Err(err) => err,
         };
@@ -1398,8 +1373,9 @@ mod tests {
         for (ts, expect_len) in [(3u64, 2usize), (6, 3)] {
             logger.append(record(ts, 1));
             logger.flush().unwrap();
+            let parent = store.last_checkpoint().unwrap().read_ts;
             let mut writer = store
-                .begin_delta(logger.appended_lsn(), Timestamp(ts))
+                .begin_image(parent, logger.appended_lsn(), Timestamp(ts))
                 .unwrap();
             writer.write_row(TableId(0), &[ts as u8; 16]).unwrap();
             store.install_checkpoint(writer.finish().unwrap()).unwrap();
@@ -1422,10 +1398,13 @@ mod tests {
         // Policy: with max_chain 3 the full chain means the next
         // checkpoint compacts.
         let policy = CheckpointPolicy::delta(1, 3);
-        assert!(!store.delta_due(&policy));
+        assert_eq!(store.next_parent(&policy), Timestamp::ZERO);
         let policy = CheckpointPolicy::delta(1, 4);
-        assert!(store.delta_due(&policy));
-        assert!(!store.delta_due(&CheckpointPolicy::every_log_bytes(1)));
+        assert_eq!(store.next_parent(&policy), Timestamp(6));
+        assert_eq!(
+            store.next_parent(&CheckpointPolicy::every_log_bytes(1)),
+            Timestamp::ZERO
+        );
 
         // Compaction: a fresh base resets the chain and removes the old
         // chain's files.
@@ -1450,7 +1429,9 @@ mod tests {
         let store = CheckpointStore::create(&dir).unwrap();
         let base = store.begin_checkpoint(Lsn(1), Timestamp(1)).unwrap();
         store.install_checkpoint(base.finish().unwrap()).unwrap();
-        let stale = store.begin_delta(Lsn(2), Timestamp(2)).unwrap();
+        let stale = store
+            .begin_image(Timestamp(1), Lsn(2), Timestamp(2))
+            .unwrap();
         let stale = stale.finish().unwrap();
         // A compaction lands first: the delta's parent is no longer the tip.
         let base = store.begin_checkpoint(Lsn(3), Timestamp(3)).unwrap();
@@ -1487,6 +1468,76 @@ mod tests {
         assert!(!dir.join("ckpt.tmp").exists());
         assert!(!dir.join("delta.tmp").exists());
         assert!(dir.join("ckpt-1.db").exists());
+    }
+
+    /// Hand `check` every single-bit flip of `bytes`, then every strict
+    /// prefix of it, naming the damage if `check` panics.
+    fn sweep_damage(bytes: &[u8], mut check: impl FnMut(&[u8])) {
+        let mut run = |what: String, input: &[u8]| {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(input)));
+            assert!(outcome.is_ok(), "{what}: panicked");
+        };
+        let mut damaged = bytes.to_vec();
+        for bit in 0..bytes.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            run(format!("bit {bit} flipped"), &damaged);
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 0..bytes.len() {
+            run(format!("cut at byte {cut}"), &bytes[..cut]);
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_and_cut_yields_an_error_or_the_original() {
+        let dir = scratch_dir("damage-sweep");
+        let store = CheckpointStore::create(&dir).unwrap();
+        let mut base = store.begin_checkpoint(Lsn(8), Timestamp(3)).unwrap();
+        base.write_row(TableId(0), &[1u8; 12]).unwrap();
+        base.write_row(TableId(1), &[2u8; 12]).unwrap();
+        store.install_checkpoint(base.finish().unwrap()).unwrap();
+        let mut delta = store
+            .begin_image(Timestamp(3), Lsn(16), Timestamp(5))
+            .unwrap();
+        delta.write_row(TableId(0), &[3u8; 12]).unwrap();
+        delta.write_delete(TableId(1), 7).unwrap();
+        delta.write_delete(TableId(0), 9).unwrap();
+        store.install_checkpoint(delta.finish().unwrap()).unwrap();
+        drop(store);
+
+        // Images: an error, or exactly what was written.
+        let damaged = dir.join("damaged.db");
+        for image in ["ckpt-1.db", "delta-2.db"] {
+            let bytes = fs::read(dir.join(image)).unwrap();
+            let original = read_checkpoint(dir.join(image)).unwrap();
+            sweep_damage(&bytes, |input| {
+                fs::write(&damaged, input).unwrap();
+                if let Ok(contents) = read_checkpoint(&damaged) {
+                    assert_eq!(contents, original, "{image}");
+                }
+            });
+        }
+
+        // The manifest (create, base install, delta install): an error, or
+        // the plan of a complete prefix of its entries.
+        let manifest_path = dir.join(MANIFEST);
+        let manifest = fs::read(&manifest_path).unwrap();
+        let mut prefixes = Vec::new();
+        let mut end = 0;
+        while end < manifest.len() {
+            let body_len = u32::from_le_bytes(manifest[end..end + 4].try_into().unwrap());
+            end += 8 + body_len as usize + 8;
+            fs::write(&manifest_path, &manifest[..end]).unwrap();
+            prefixes.push(CheckpointStore::plan(&dir).unwrap());
+        }
+        assert_eq!(prefixes.len(), 3);
+        assert_eq!(prefixes[2].chain.len(), 2);
+        sweep_damage(&manifest, |input| {
+            fs::write(&manifest_path, input).unwrap();
+            if let Ok(plan) = CheckpointStore::plan(&dir) {
+                assert!(prefixes.contains(&plan), "not an entry prefix: {plan:?}");
+            }
+        });
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * **Tables are independent.** Every checkpoint/log op names exactly one
 //!   table, so sharding by table needs no cross-worker ordering. Within a
 //!   worker, chain ops apply in receipt order (the coordinator sends chain
-//!   files in apply order, deletes before rows within each delta) and tail
+//!   files in apply order, deletes before rows within each image) and tail
 //!   ops are buffered and sorted by `(end_ts, op sequence)` — the same
 //!   serial order the single-threaded replay used.
 //! * **The result is worker-count invariant.** The final pk→row map of each
@@ -23,10 +23,10 @@
 //!   same no matter how tables are distributed; a test below pins recovery
 //!   with 1, 2, 3 and 8 workers to byte-identical images.
 //!
-//! Chain validation happens here too: the base must not claim a parent
-//! snapshot, and each delta's recorded parent snapshot must equal the
-//! preceding image's `read_ts` — a mismatched or reordered chain is
-//! corruption, not something to paper over.
+//! Chain validation happens here too: the first image's recorded parent
+//! snapshot must be [`Timestamp::ZERO`] (a base), and each later image's
+//! must equal the preceding image's `read_ts` — a mismatched or reordered
+//! chain is corruption, not something to paper over.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -79,7 +79,7 @@ pub struct RecoveredImage {
 enum Op {
     /// Rows from one chain image, in file order.
     ImageRows(Vec<Row>),
-    /// Tombstones from one delta image (routed before that image's rows).
+    /// Tombstones from one chain image (routed before that image's rows).
     ImageDeletes(Vec<Key>),
     /// A log-tail write.
     TailWrite {
@@ -160,21 +160,18 @@ fn feed(plan: &RecoveryPlan, senders: &[Sender<Msg>]) -> Result<RecoveredImage> 
     };
     let invalid = |reason: &'static str| MmdbError::CheckpointInvalid { reason };
 
-    // Chain images, base first, deletes before rows within each delta.
-    let mut parent: Option<Timestamp> = None;
+    // Chain images, base first, deletes before rows within each image. The
+    // parent each image must name is the previous image's snapshot, and
+    // ZERO for the first: the chain begins with a base.
     let mut image_ts = Timestamp::ZERO;
-    for (i, ckpt) in plan.chain.iter().enumerate() {
+    for ckpt in &plan.chain {
         let contents = read_checkpoint(&ckpt.path)?;
         if contents.lsn != ckpt.lsn || contents.read_ts != ckpt.read_ts {
             return Err(invalid("checkpoint image disagrees with the manifest"));
         }
-        if i == 0 && contents.parent_read_ts.is_some() {
-            return Err(invalid("checkpoint chain begins with a delta image"));
+        if contents.parent_read_ts != image_ts {
+            return Err(invalid("image parent snapshot does not match the chain"));
         }
-        if i > 0 && contents.parent_read_ts != parent {
-            return Err(invalid("delta parent snapshot does not match the chain"));
-        }
-        parent = Some(contents.read_ts);
         image_ts = contents.read_ts;
         let mut deletes: BTreeMap<TableId, Vec<Key>> = BTreeMap::new();
         for (table, key) in contents.deletes {
@@ -342,7 +339,9 @@ mod tests {
                 row: &row(3, 0x1d),
             }],
         );
-        let mut delta = store.begin_delta(lsn, Timestamp(20)).unwrap();
+        let mut delta = store
+            .begin_image(Timestamp(10), lsn, Timestamp(20))
+            .unwrap();
         delta.write_delete(t0, 2).unwrap();
         delta.write_row(t0, &row(3, 0x1d)).unwrap();
         delta.write_row(t1, &row(1, 0x2c)).unwrap();

@@ -216,10 +216,10 @@ pub struct Table {
     /// superseded or deleted a version in this table ([`Table::note_write`],
     /// fired by the commit pipeline after the end timestamp is drawn and
     /// before the transaction publishes `Committed`, and by bulk
-    /// population). A *delta* checkpoint at snapshot `R` with parent
-    /// snapshot `P` skips the whole table when `dirty_ts() < P` — see the
-    /// quiescing contract on `MvEngine::checkpoint_delta` for why that read
-    /// is race-free.
+    /// population). A checkpoint at snapshot `R` with parent snapshot `P`
+    /// skips the whole table when `dirty_ts() < P` — see the quiescing
+    /// contract on `MvEngine::checkpoint_auto` for why that read is
+    /// race-free.
     dirty_ts: AtomicU64,
 }
 

@@ -166,11 +166,10 @@ impl EngineBox {
         }
     }
 
+    /// A full base image: under the manual policy the chain never has room
+    /// for a delta, so `checkpoint_auto` always picks parent ZERO.
     fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
-        match self {
-            EngineBox::Mv(e) => e.checkpoint(store),
-            EngineBox::Sv(e) => e.checkpoint(store),
-        }
+        self.checkpoint_auto(store, &CheckpointPolicy::MANUAL)
     }
 
     fn recover_from_checkpoint(&self, plan: &RecoveryPlan) -> Result<RecoveryReport> {
@@ -1726,11 +1725,22 @@ fn mid_run_crash_snapshots_recover_at_least_the_durable_watermark() {
 // ---------------------------------------------------------------------------
 
 impl EngineBox {
+    /// A delta image: `checkpoint_auto` under a chain bound no test reaches,
+    /// asserting that it really extended the chain and never silently took
+    /// a base instead.
     fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
-        match self {
-            EngineBox::Mv(e) => e.checkpoint_delta(store),
-            EngineBox::Sv(e) => e.checkpoint_delta(store),
-        }
+        let policy = CheckpointPolicy::delta(1, u32::MAX);
+        let parent = store.next_parent(&policy);
+        assert_ne!(parent, Timestamp::ZERO, "a delta needs an installed chain");
+        let len = store.chain_len();
+        let installed = self.checkpoint_auto(store, &policy)?;
+        assert_eq!(store.chain_len(), len + 1, "a delta extends the chain");
+        assert_eq!(
+            read_checkpoint(&installed.path)?.parent_read_ts,
+            parent,
+            "a delta's parent is the previous chain tip"
+        );
+        Ok(installed)
     }
 
     fn checkpoint_auto(
@@ -1853,7 +1863,7 @@ fn delta_checkpoints_skip_clean_tables_and_carry_tombstones() {
         let contents = read_checkpoint(&delta.path).expect("delta image reads back");
         let label = kind.label();
         assert!(
-            contents.parent_read_ts.is_some(),
+            contents.parent_read_ts != Timestamp::ZERO,
             "[{label}] a delta image records its parent snapshot"
         );
         let touched: Vec<TableId> = contents
